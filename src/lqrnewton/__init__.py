@@ -15,9 +15,9 @@ from .linalg import (commutation_matrix, expm, kron, psd_sqrt,
 from .lqr import (Gain, LqrProblem, ValueSolution, action_value_at,
                   closed_loop, is_gamma_stabilizing, optimal_gain,
                   performance, solve_sigma, solve_value, value_at)
-from .derivatives import (CurvatureReport, exact_hessian, gn_hessian,
-                          gn_report, gradient_report, jacobian_vecP,
-                          lambda_term, policy_gradient)
+from .derivatives import (CurvatureReport, Evaluation, exact_hessian,
+                          gn_hessian, jacobian_vecP, lambda_term,
+                          policy_gradient)
 from .optimize import (IterateRecord, OptimizerConfig, RunRecord,
                        backtracking_search, run, search_direction)
 from .oracles import (McEstimate, ScalarReport, discounted_moment_series,
@@ -41,8 +41,8 @@ __all__ = [
     "Gain", "LqrProblem", "ValueSolution", "action_value_at", "closed_loop",
     "is_gamma_stabilizing", "optimal_gain", "performance", "solve_sigma",
     "solve_value", "value_at",
-    "CurvatureReport", "exact_hessian", "gn_hessian", "gn_report",
-    "gradient_report", "jacobian_vecP", "lambda_term", "policy_gradient",
+    "CurvatureReport", "Evaluation", "exact_hessian", "gn_hessian",
+    "jacobian_vecP", "lambda_term", "policy_gradient",
     "IterateRecord", "OptimizerConfig", "RunRecord", "backtracking_search",
     "run", "search_direction",
     "McEstimate", "ScalarReport", "discounted_moment_series", "fd_gradient",

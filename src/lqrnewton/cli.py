@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, LqrError
-from .lqr import Gain, performance, solve_sigma, solve_value
-from .derivatives import policy_gradient
+from .lqr import Gain
+from .derivatives import Evaluation
 from .optimize import METHODS, OptimizerConfig, run
 from .experiment import (load_config, run_experiment, trace_csv_text,
                          landscape_csv_text, write_atomic)
@@ -37,14 +37,12 @@ def _fmt_matrix(name, M):
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     gain = cfg.gain if cfg.gain is not None else Gain.zero(cfg.problem)
-    P, q = solve_value(cfg.problem, gain)
-    Sigma = solve_sigma(cfg.problem, gain)
-    grad = policy_gradient(cfg.problem, gain)
-    print(_fmt_matrix("P", P))
-    print(f"q = {q!r}")
-    print(_fmt_matrix("Sigma", Sigma))
-    print(f"J = {performance(cfg.problem, gain)!r}")
-    print(f"grad = {np.array2string(grad, separator=', ')}")
+    ev = Evaluation(cfg.problem, gain)
+    print(_fmt_matrix("P", ev.P))
+    print(f"q = {ev.q!r}")
+    print(_fmt_matrix("Sigma", ev.Sigma))
+    print(f"J = {ev.J!r}")
+    print(f"grad = {np.array2string(ev.grad, separator=', ')}")
     return 0
 
 
@@ -83,16 +81,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.seed is not None:
-        # override must land before problem generation (generators may need it)
-        import json
-        from pathlib import Path
-        from .experiment import config_from_dict
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        doc["seed"] = args.seed
-        cfg = config_from_dict(doc, output_dir=args.out)
-    else:
-        cfg = load_config(args.config, output_dir=args.out)
+    cfg = load_config(args.config, output_dir=args.out, seed=args.seed)
     status = run_experiment(cfg)
     print(f"experiment finished with status {status}; outputs in {cfg.output_dir}")
     return status

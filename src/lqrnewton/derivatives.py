@@ -17,15 +17,17 @@ value matrix P and discounted state correlation Sigma:
 S vanishes at the optimal gain, so grad, jac and Lambda all vanish there and
 the Gauss-Newton surrogate matches the exact Hessian.
 
-Everything here is pure and thread-safe. The columns of jac are independent
-of one another (column i only needs the i-th right-hand side), so callers
-may compute or consume them in parallel; this implementation solves the
-whole block against one factorization because the sizes are small.
+The functions here are pure and thread-safe; an :class:`Evaluation` caches,
+so give each thread its own. The columns of jac are independent of one
+another (column i only needs the i-th right-hand side), so callers may
+compute or consume them in parallel; this implementation solves the whole
+block against one factorization because the sizes are small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,7 +35,8 @@ import scipy.linalg
 
 from .errors import SingularT
 from .linalg import commutation_matrix, kron, unvec, vec
-from .lqr import Gain, LqrProblem, closed_loop, solve_sigma, solve_value
+from .lqr import (Gain, LqrProblem, ValueSolution, closed_loop,
+                  is_gamma_stabilizing, solve_sigma, solve_value)
 
 _COND_LIMIT = 1e14
 
@@ -55,24 +58,64 @@ class CurvatureReport:
     Lambda: Optional[np.ndarray] = None
     H_exact: Optional[np.ndarray] = None
     jac_vecP: Optional[np.ndarray] = None
-    T: Optional[np.ndarray] = None
     h_exact_asym: Optional[float] = None
 
 
-def _pieces(prob: LqrProblem, gain: Gain):
-    """Shared per-gain quantities: Acl, P, q, Sigma, S, and R + g B'PB."""
-    Acl = closed_loop(prob, gain)
-    P, q = solve_value(prob, gain)
-    Sigma = solve_sigma(prob, gain)
-    g = prob.gamma
-    S = prob.R @ gain.K - g * prob.B.T @ P @ Acl
-    E = prob.R + g * prob.B.T @ P @ prob.B
-    E = (E + E.T) / 2.0
-    return Acl, P, q, Sigma, S, E
+class Evaluation:
+    """Every closed-form piece at one gain, each computed at most once.
 
+    Acl = A - B K is formed on construction; the margin, P and q, Sigma, J,
+    S, E = R + gamma B'PB, grad and H_gn are computed on first read and kept.
+    Reading P or Sigma at a non-stabilizing gain raises NotStabilizing.
+    Reads return the kept arrays themselves; do not modify them in place.
+    """
 
-def _grad_from(S: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    return 2.0 * vec(S @ Sigma)
+    def __init__(self, prob: LqrProblem, gain: Gain):
+        self.prob = prob
+        self.gain = gain
+        self.Acl = closed_loop(prob, gain)
+
+    @cached_property
+    def margin(self) -> float:
+        """1 - rho(sqrt(gamma) * Acl); positive exactly when stabilizing."""
+        return is_gamma_stabilizing(self.prob, self.gain)[1]
+
+    stabilizing = property(lambda self: self.margin > 0.0)
+
+    @cached_property
+    def _value(self) -> ValueSolution:
+        return solve_value(self.prob, self.gain)
+
+    P = property(lambda self: self._value.P)
+    q = property(lambda self: self._value.q)
+
+    @cached_property
+    def Sigma(self) -> np.ndarray:
+        return solve_sigma(self.prob, self.gain)
+
+    @cached_property
+    def J(self) -> float:
+        """Performance tr(P Sigma_0) + q."""
+        return float(np.trace(self.P @ self.prob.Sigma_0)) + self.q
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        prob = self.prob
+        return prob.R @ self.gain.K - prob.gamma * prob.B.T @ self.P @ self.Acl
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        prob = self.prob
+        E = prob.R + prob.gamma * prob.B.T @ self.P @ prob.B
+        return (E + E.T) / 2.0
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return 2.0 * vec(self.S @ self.Sigma)
+
+    @cached_property
+    def H_gn(self) -> np.ndarray:
+        return 2.0 * kron(self.Sigma, self.E)
 
 
 def policy_gradient(prob: LqrProblem, gain: Gain) -> np.ndarray:
@@ -82,8 +125,7 @@ def policy_gradient(prob: LqrProblem, gain: Gain) -> np.ndarray:
     vector ordered like vec(K). Raises NotStabilizing for gains outside the
     stabilizing set (where J is undefined).
     """
-    _, _, _, Sigma, S, _ = _pieces(prob, gain)
-    return _grad_from(S, Sigma)
+    return Evaluation(prob, gain).grad
 
 
 def gn_hessian(prob: LqrProblem, gain: Gain) -> np.ndarray:
@@ -92,16 +134,10 @@ def gn_hessian(prob: LqrProblem, gain: Gain) -> np.ndarray:
     Symmetric, and positive definite whenever Sigma is positive definite.
     Agrees with the exact Hessian at the optimal gain.
     """
-    _, _, _, Sigma, _, E = _pieces(prob, gain)
-    return 2.0 * kron(Sigma, E)
+    return Evaluation(prob, gain).H_gn
 
 
-def _lyap_operator(Acl: np.ndarray, gamma: float) -> np.ndarray:
-    n = Acl.shape[0]
-    return np.eye(n * n) - gamma * kron(Acl.T, Acl.T)
-
-
-def _jacobian_from(Acl: np.ndarray, S: np.ndarray, gamma: float):
+def _jacobian_from(Acl: np.ndarray, S: np.ndarray, gamma: float) -> np.ndarray:
     """Solve T jac = (S' (x) I) K_mn + (I (x) S') column-block at once.
 
     T is LU-factored (never inverted) and its conditioning is estimated via
@@ -110,7 +146,7 @@ def _jacobian_from(Acl: np.ndarray, S: np.ndarray, gamma: float):
     """
     n = Acl.shape[0]
     m = S.shape[0]
-    T = _lyap_operator(Acl, gamma)
+    T = np.eye(n * n) - gamma * kron(Acl.T, Acl.T)
     anorm = np.linalg.norm(T, 1)
     lu, piv = scipy.linalg.lu_factor(T)
     rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
@@ -125,7 +161,7 @@ def _jacobian_from(Acl: np.ndarray, S: np.ndarray, gamma: float):
     for i in range(jac.shape[1]):
         D = unvec(jac[:, i], n, n)
         jac[:, i] = vec((D + D.T) / 2.0)
-    return jac, T
+    return jac
 
 
 def jacobian_vecP(prob: LqrProblem, gain: Gain) -> np.ndarray:
@@ -135,13 +171,12 @@ def jacobian_vecP(prob: LqrProblem, gain: Gain) -> np.ndarray:
     matrix, hence fixed by the commutation matrix K_nn. Vanishes at the
     optimal gain, where S = 0.
     """
-    Acl, _, _, _, S, _ = _pieces(prob, gain)
-    jac, _ = _jacobian_from(Acl, S, prob.gamma)
-    return jac
+    ev = Evaluation(prob, gain)
+    return _jacobian_from(ev.Acl, ev.S, prob.gamma)
 
 
-def _lambda_from(Sigma: np.ndarray, Acl: np.ndarray, B: np.ndarray,
-                 jac: np.ndarray) -> np.ndarray:
+def _lambda_from(ev: Evaluation, jac: np.ndarray) -> np.ndarray:
+    Sigma, Acl, B = ev.Sigma, ev.Acl, ev.prob.B
     term1 = kron(Sigma @ Acl.T, B.T) @ jac
     term2 = jac.T @ kron(Acl @ Sigma, B)
     return -2.0 * (term1 + term2)
@@ -159,40 +194,26 @@ def lambda_term(prob: LqrProblem, gain: Gain, jac: np.ndarray) -> np.ndarray:
     if jac.shape != (prob.n * prob.n, mn):
         raise ValueError(
             f"jac shape {jac.shape} does not match ({prob.n * prob.n}, {mn})")
-    Acl = closed_loop(prob, gain)
-    Sigma = solve_sigma(prob, gain)
-    return _lambda_from(Sigma, Acl, prob.B, jac)
+    return _lambda_from(Evaluation(prob, gain), jac)
 
 
-def exact_hessian(prob: LqrProblem, gain: Gain) -> CurvatureReport:
+def exact_hessian(prob: LqrProblem, gain: Gain,
+                  evaluation: Optional[Evaluation] = None) -> CurvatureReport:
     """Assemble the gradient, both Hessians, and their ingredients at a gain.
 
     H_exact = H_gn + gamma * Lambda, symmetrized after assembly; the
     pre-symmetrization relative asymmetry is recorded in ``h_exact_asym``
-    (it is at round-off level by construction).
+    (it is at round-off level by construction). An ``evaluation`` of this
+    same problem and gain lends its already computed pieces.
     """
-    Acl, _, _, Sigma, S, E = _pieces(prob, gain)
-    grad = _grad_from(S, Sigma)
-    H_gn = 2.0 * kron(Sigma, E)
-    jac, T = _jacobian_from(Acl, S, prob.gamma)
-    Lam = _lambda_from(Sigma, Acl, prob.B, jac)
-    H_raw = H_gn + prob.gamma * Lam
+    ev = evaluation if evaluation is not None else Evaluation(prob, gain)
+    if ev.prob is not prob or ev.gain is not gain:
+        raise ValueError("evaluation was built for a different problem or gain")
+    jac = _jacobian_from(ev.Acl, ev.S, prob.gamma)
+    Lam = _lambda_from(ev, jac)
+    H_raw = ev.H_gn + prob.gamma * Lam
     denom = max(np.linalg.norm(H_raw, "fro"), np.finfo(float).tiny)
     asym = float(np.linalg.norm(H_raw - H_raw.T, "fro") / denom)
     H_exact = (H_raw + H_raw.T) / 2.0
-    return CurvatureReport(grad=grad, S=S, H_gn=H_gn, Lambda=Lam,
-                           H_exact=H_exact, jac_vecP=jac, T=T,
-                           h_exact_asym=asym)
-
-
-def gradient_report(prob: LqrProblem, gain: Gain) -> CurvatureReport:
-    """Gradient-only report (cheap: two Lyapunov solves, no T factorization)."""
-    _, _, _, Sigma, S, _ = _pieces(prob, gain)
-    return CurvatureReport(grad=_grad_from(S, Sigma), S=S)
-
-
-def gn_report(prob: LqrProblem, gain: Gain) -> CurvatureReport:
-    """Gradient plus Gauss-Newton curvature, without the exact-Hessian work."""
-    _, _, _, Sigma, S, E = _pieces(prob, gain)
-    return CurvatureReport(grad=_grad_from(S, Sigma), S=S,
-                           H_gn=2.0 * kron(Sigma, E))
+    return CurvatureReport(grad=ev.grad, S=ev.S, H_gn=ev.H_gn, Lambda=Lam,
+                           H_exact=H_exact, jac_vecP=jac, h_exact_asym=asym)

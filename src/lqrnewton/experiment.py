@@ -186,19 +186,24 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
                             seed_gain=seed_gain)
 
 
-def load_config(path, output_dir=None) -> ExperimentConfig:
-    """Read and validate a JSON config file.
+def load_config(path, output_dir=None, seed=None) -> ExperimentConfig:
+    """Read and validate a JSON config file; ``seed`` overrides the file's.
 
-    JSON syntax errors are reported with their line and column; field
-    errors carry the field path.
+    Unreadable files and JSON syntax errors (with their line and column)
+    raise ConfigError; field errors carry the field path.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
     return config_from_dict(doc, output_dir=output_dir)
 
 

@@ -168,15 +168,14 @@ def closed_loop(prob: LqrProblem, gain: Gain) -> np.ndarray:
     return prob.A - prob.B @ gain.K
 
 
-def is_gamma_stabilizing(prob: LqrProblem, gain: Gain,
-                         margin_tol: float = 0.0) -> tuple[bool, float]:
-    """Check rho(sqrt(gamma) * (A - B K)) < 1 - margin_tol.
+def is_gamma_stabilizing(prob: LqrProblem, gain: Gain) -> tuple[bool, float]:
+    """Check rho(sqrt(gamma) * (A - B K)) < 1.
 
     Returns (stabilizing, margin) where margin = 1 - rho. A positive margin
     means the discounted closed-loop sums converge.
     """
     rho = spectral_radius(np.sqrt(prob.gamma) * closed_loop(prob, gain))
-    return rho < 1.0 - margin_tol, 1.0 - rho
+    return rho < 1.0, 1.0 - rho
 
 
 def _require_stabilizing(prob: LqrProblem, gain: Gain, what: str) -> None:

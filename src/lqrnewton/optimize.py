@@ -20,9 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DirectionError, LineSearchFailure, SeedNotStabilizing
-from .lqr import Gain, LqrProblem, is_gamma_stabilizing, optimal_gain, performance
-from .derivatives import (CurvatureReport, exact_hessian, gn_report,
-                          gradient_report, _pieces, _grad_from)
+from .lqr import Gain, LqrProblem, optimal_gain
+from .derivatives import CurvatureReport, Evaluation, exact_hessian
 
 METHODS = ("first_order", "gauss_newton", "newton")
 STEP_MODES = ("fixed", "backtracking")
@@ -123,7 +122,7 @@ def search_direction(method: str, report: CurvatureReport,
         return -g
     if method == "gauss_newton":
         if report.H_gn is None:
-            raise ValueError("report lacks H_gn; build it with gn_report or exact_hessian")
+            raise ValueError("report lacks H_gn; build it with gn_hessian or exact_hessian")
         try:
             c = scipy.linalg.cho_factor(report.H_gn)
         except np.linalg.LinAlgError:
@@ -157,24 +156,21 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
                grad: np.ndarray, cfg: OptimizerConfig):
     """Armijo backtracking with a stabilization guard.
 
-    Returns (alpha, new_gain, J_new, backtracks); trial gains outside the
+    Returns (alpha, trial Evaluation, backtracks); trial gains outside the
     stabilizing set count as Armijo failures. Raises LineSearchFailure when
     max_backtracks shrinks are exhausted.
     """
     theta0 = gain.theta
     if not np.any(direction):
-        return cfg.alpha, gain, J0, 0
+        return cfg.alpha, Evaluation(prob, gain), 0
     slope = float(grad @ direction)
     if slope >= 0.0:
         raise DirectionError("backtracking requires a descent direction")
     alpha = cfg.alpha
     for j in range(cfg.max_backtracks + 1):
-        trial = Gain.from_theta(theta0 + alpha * direction, prob.m, prob.n)
-        ok, _ = is_gamma_stabilizing(prob, trial)
-        if ok:
-            J_new = performance(prob, trial)
-            if J_new <= J0 + cfg.c_armijo * alpha * slope:
-                return alpha, trial, J_new, j
+        trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction, prob.m, prob.n))
+        if trial.stabilizing and trial.J <= J0 + cfg.c_armijo * alpha * slope:
+            return alpha, trial, j
         alpha *= cfg.shrink
     raise LineSearchFailure(
         f"no stabilizing Armijo step within {cfg.max_backtracks} backtracks")
@@ -187,16 +183,8 @@ def backtracking_search(prob: LqrProblem, gain: Gain, direction: np.ndarray,
     gain is stabilizing and satisfies the Armijo decrease. Returns
     (alpha, new_gain); a zero direction returns (alpha0, gain) unchanged.
     """
-    alpha, new_gain, _, _ = _backtrack(prob, gain, direction, J0, grad, cfg)
-    return alpha, new_gain
-
-
-def _report_for(method: str, prob: LqrProblem, gain: Gain) -> CurvatureReport:
-    if method == "first_order":
-        return gradient_report(prob, gain)
-    if method == "gauss_newton":
-        return gn_report(prob, gain)
-    return exact_hessian(prob, gain)
+    alpha, trial, _ = _backtrack(prob, gain, direction, J0, grad, cfg)
+    return alpha, trial.gain
 
 
 def run(prob: LqrProblem, cfg: OptimizerConfig,
@@ -209,27 +197,24 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     search failure, or a fixed step that would leave the stabilizing set,
     the current iterate is kept and the run is flagged rather than raising;
     DirectionError propagates with the partial record attached as
-    ``exc.record``.
+    ``exc.record``. The accepted trial's Evaluation becomes the next
+    iterate, so its stability check and value solve are not repeated.
     """
-    gain = cfg.seed_gain if cfg.seed_gain is not None else Gain.zero(prob)
-    ok, _ = is_gamma_stabilizing(prob, gain)
-    if not ok:
+    ev = Evaluation(prob, cfg.seed_gain if cfg.seed_gain is not None else Gain.zero(prob))
+    if not ev.stabilizing:
         raise SeedNotStabilizing("optimizer seed gain is not gamma-stabilizing")
     if k_star is None:
         k_star, _ = optimal_gain(prob)
 
     rec = RunRecord(k_star=k_star)
     for k in range(cfg.max_iter + 1):
-        _, margin = is_gamma_stabilizing(prob, gain)
-        Acl, P, q, Sigma, S, E = _pieces(prob, gain)
-        J = float(np.trace(P @ prob.Sigma_0)) + q
-        grad = _grad_from(S, Sigma)
-        grad_norm = float(np.linalg.norm(grad))
+        gain = ev.gain
+        grad_norm = float(np.linalg.norm(ev.grad))
         gain_error = float(np.linalg.norm(gain.K - k_star.K, "fro"))
 
         def record(alpha_used: float, backtracks: int) -> None:
-            rec.steps.append(IterateRecord(k, J, grad_norm, gain_error,
-                                           alpha_used, backtracks, margin))
+            rec.steps.append(IterateRecord(k, ev.J, grad_norm, gain_error,
+                                           alpha_used, backtracks, ev.margin))
             rec.gains.append(gain)
 
         if grad_norm <= cfg.grad_tol or k == cfg.max_iter:
@@ -237,12 +222,11 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
             rec.converged = grad_norm <= cfg.grad_tol
             break
 
-        if cfg.method == "first_order":
-            report = CurvatureReport(grad=grad, S=S)
-        elif cfg.method == "gauss_newton":
-            report = CurvatureReport(grad=grad, S=S, H_gn=2.0 * np.kron(Sigma, E))
+        if cfg.method == "newton":
+            report = exact_hessian(prob, gain, ev)
         else:
-            report = exact_hessian(prob, gain)
+            H_gn = ev.H_gn if cfg.method == "gauss_newton" else None
+            report = CurvatureReport(grad=ev.grad, S=ev.S, H_gn=H_gn)
         try:
             direction = search_direction(cfg.method, report, cfg.newton_damping)
         except DirectionError as exc:
@@ -253,24 +237,24 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
             raise
 
         if cfg.step_mode == "fixed":
-            trial = Gain.from_theta(gain.theta + cfg.alpha * direction, prob.m, prob.n)
-            trial_ok, _ = is_gamma_stabilizing(prob, trial)
-            if not trial_ok:
+            trial = Evaluation(prob, Gain.from_theta(gain.theta + cfg.alpha * direction,
+                                                     prob.m, prob.n))
+            if not trial.stabilizing:
                 record(0.0, 0)
                 rec.flag = "left_stabilizing_set"
                 break
-            alpha_used, backtracks, new_gain = cfg.alpha, 0, trial
+            alpha_used, backtracks = cfg.alpha, 0
         else:
             try:
-                alpha_used, new_gain, _, backtracks = _backtrack(
-                    prob, gain, direction, J, grad, cfg)
+                alpha_used, trial, backtracks = _backtrack(
+                    prob, gain, direction, ev.J, ev.grad, cfg)
             except LineSearchFailure:
                 record(0.0, 0)
                 rec.flag = "line_search_failure"
                 break
 
         record(alpha_used, backtracks)
-        gain = new_gain
+        ev = trial
 
-    rec.final_gain = gain
+    rec.final_gain = ev.gain
     return rec

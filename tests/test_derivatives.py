@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from lqrnewton import (Gain, LqrProblem, commutation_matrix, exact_hessian,
-                       gn_hessian, gn_report, gradient_report, jacobian_vecP,
-                       lambda_term, optimal_gain, policy_gradient, solve_sigma,
-                       solve_value, vec)
+                       gn_hessian, jacobian_vecP, lambda_term, optimal_gain,
+                       policy_gradient, solve_sigma, solve_value, vec)
 from lqrnewton.errors import NotStabilizing, SingularT
 from lqrnewton.oracles import fd_gradient, fd_hessian, scalar_reference
 
@@ -155,7 +154,7 @@ class TestExactHessian:
 
     def test_report_is_complete(self, scalar_prob, scalar_gain):
         rep = exact_hessian(scalar_prob, scalar_gain)
-        for field in ("grad", "S", "H_gn", "Lambda", "H_exact", "jac_vecP", "T"):
+        for field in ("grad", "S", "H_gn", "Lambda", "H_exact", "jac_vecP"):
             assert getattr(rep, field) is not None
 
     def test_scalar_grid_matches_closed_forms(self):
@@ -172,16 +171,3 @@ class TestExactHessian:
                 assert rel_err(rep.Lambda[0, 0], ref.lam) <= 1e-12
                 assert rel_err(rep.H_exact[0, 0], ref.hess_exact) <= 1e-12
                 assert rel_err(rep.jac_vecP[0, 0], ref.dp_dtheta) <= 1e-12
-
-
-class TestPartialReports:
-    def test_gradient_report_is_minimal(self, scalar_prob, scalar_gain):
-        rep = gradient_report(scalar_prob, scalar_gain)
-        assert rep.grad[0] == pytest.approx(GRAD_05, abs=1e-13)
-        assert rep.H_gn is None and rep.H_exact is None
-
-    def test_gn_report_matches_full(self, scalar_prob, scalar_gain):
-        rep = gn_report(scalar_prob, scalar_gain)
-        full = exact_hessian(scalar_prob, scalar_gain)
-        np.testing.assert_allclose(rep.H_gn, full.H_gn, atol=1e-14)
-        assert rep.H_exact is None

@@ -7,7 +7,8 @@ from lqrnewton import config_from_dict, load_config, run_experiment
 from lqrnewton.errors import ConfigError
 from lqrnewton.experiment import TRACE_HEADER, trace_csv_text
 from lqrnewton.optimize import OptimizerConfig, run
-from lqrnewton import cli, make_pendulum, make_shear_building, initial_gain
+from lqrnewton import (Gain, cli, make_pendulum, make_shear_building, initial_gain,
+                       performance, policy_gradient)
 
 
 PENDULUM_DOC = {
@@ -183,6 +184,11 @@ class TestCli:
         out = capsys.readouterr().out
         for token in ("P =", "q =", "Sigma =", "J =", "grad ="):
             assert token in out
+        prob, gain = make_pendulum(), Gain([[60.0, 44.0]])
+        lines = out.splitlines()
+        assert f"J = {performance(prob, gain)!r}" in lines
+        grad = policy_gradient(prob, gain)
+        assert f"grad = {np.array2string(grad, separator=', ')}" in lines
 
     def test_optimize_writes_trace(self, tmp_path, capsys):
         path = write_config(tmp_path, PENDULUM_DOC)
@@ -218,8 +224,21 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": {"generator": "nonesuch"}})
-        assert cli.main(["solve", "--config", str(path)]) == 1
-        assert "config error" in capsys.readouterr().err
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"problem": ', encoding="utf-8")
+        as_list = write_config(tmp_path, [PENDULUM_DOC], name="list.json")
+        missing = str(tmp_path / "missing.json")
+        cases = [["solve", "--config", str(path)],
+                 ["experiment", "--config", str(malformed), "--seed", "1"],
+                 ["experiment", "--config", str(as_list), "--seed", "1"],
+                 ["solve", "--config", missing],
+                 ["optimize", "--config", missing, "--method", "newton"],
+                 ["experiment", "--config", missing, "--seed", "1"],
+                 ["landscape", "--config", missing]]
+        for argv in cases:
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err, argv
 
     def test_validate_runs_clean(self, capsys):
         assert cli.main(["validate"]) == 0
