@@ -9,8 +9,8 @@ value matrix P and discounted state correlation Sigma:
     S      = R K - gamma * B' P Acl          (gradient kernel, m x n)
     grad   = 2 * vec(S Sigma)                (length m*n)
     H_gn   = 2 * Sigma (x) (R + gamma B'PB)  (Gauss-Newton, PD when Sigma is)
-    T      = I - gamma * Acl' (x) Acl'       (n^2 x n^2 Lyapunov operator)
-    jac    = T^-1 [ (S' (x) I) K_mn + (I (x) S') ]   (d vec(P) / d theta)
+    dP_i   = E_i'S + S'E_i + gamma Acl' dP_i Acl  (E_i: unit m x n at theta_i)
+    jac    = [vec(dP_1) ... vec(dP_mn)]  (d vec(P) / d theta)
     Lambda = -2 [ (Sigma Acl' (x) B') jac + jac' (Acl Sigma (x) B) ]
     H      = H_gn + gamma * Lambda           (exact Hessian)
 
@@ -19,9 +19,8 @@ the Gauss-Newton surrogate matches the exact Hessian.
 
 The functions here are pure and thread-safe; an :class:`Evaluation` caches,
 so give each thread its own. The columns of jac are independent of one
-another (column i only needs the i-th right-hand side), so callers may
-compute or consume them in parallel; this implementation solves the whole
-block against one factorization because the sizes are small.
+another (column i only needs the i-th right-hand side); they are solved as
+one stack by the Stein solver that gives P.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularT
-from .linalg import commutation_matrix, kron, unvec, vec
-from .lqr import (Gain, LqrProblem, ValueSolution, closed_loop,
+from .linalg import kron, vec
+from .lqr import (Gain, LqrProblem, ValueSolution, _stein_solve, closed_loop,
                   is_gamma_stabilizing, solve_sigma, solve_value)
 
 _COND_LIMIT = 1e14
@@ -138,38 +136,38 @@ def gn_hessian(prob: LqrProblem, gain: Gain) -> np.ndarray:
 
 
 def _jacobian_from(Acl: np.ndarray, S: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve T jac = (S' (x) I) K_mn + (I (x) S') column-block at once.
+    """Solve the m*n Stein equations dP_i as one stack; i = c*m + r is K[r, c].
 
-    T is LU-factored (never inverted) and its conditioning is estimated via
-    the factored 1-norm reciprocal condition number; a gain numerically on
-    the stabilizing boundary raises SingularT.
+    The Stein operator's eigenvalues are 1 - gamma l_i l_j over the
+    closed-loop eigenvalues l; a gain with 1 / min |1 - gamma l_i l_j| above
+    _COND_LIMIT is numerically on the stabilizing boundary: SingularT.
     """
-    n = Acl.shape[0]
-    m = S.shape[0]
-    T = np.eye(n * n) - gamma * kron(Acl.T, Acl.T)
-    anorm = np.linalg.norm(T, 1)
-    lu, piv = scipy.linalg.lu_factor(T)
-    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or rcond <= 0 or 1.0 / rcond > _COND_LIMIT:
+    n, m = Acl.shape[0], S.shape[0]
+    lam = np.linalg.eigvals(Acl)
+    gap = np.min(np.abs(1.0 - gamma * np.multiply.outer(lam, lam)))
+    cond = 1.0 / max(gap, 1e-300)
+    if cond > _COND_LIMIT:
         raise SingularT(
-            f"Lyapunov operator condition ~{1.0 / max(rcond, 1e-300):.2e} exceeds "
-            f"{_COND_LIMIT:.0e}; gain is numerically on the stabilizing boundary")
-    rhs = kron(S.T, np.eye(n)) @ commutation_matrix(m, n) + kron(np.eye(n), S.T)
-    jac = scipy.linalg.lu_solve((lu, piv), rhs)
-    # each column is d vec(P)/d theta_i, the vec of a symmetric matrix;
-    # symmetrize to remove round-off skew
-    for i in range(jac.shape[1]):
-        D = unvec(jac[:, i], n, n)
-        jac[:, i] = vec((D + D.T) / 2.0)
-    return jac
+            f"Stein operator condition ~{cond:.2e} exceeds {_COND_LIMIT:.0e}; "
+            f"gain is numerically on the stabilizing boundary")
+    # C[c, r] = E_i'S (row c is S[r]) plus its transpose, i = c*m + r
+    C = np.zeros((n, m, n, n))
+    rows = np.arange(n)
+    C[rows, :, rows, :] = S
+    C = C + C.transpose(0, 1, 3, 2)
+    dP = _stein_solve(Acl.T, C.reshape(n * m, n, n), gamma)
+    # each dP_i is symmetric, so its row-major ravel is vec(dP_i)
+    return dP.reshape(n * m, n * n).T
 
 
 def jacobian_vecP(prob: LqrProblem, gain: Gain) -> np.ndarray:
     """Jacobian of vec(P) with respect to theta, shape (n^2, m*n).
 
-    Column i is vec(dP/dtheta_i). Every column is the vec of a symmetric
-    matrix, hence fixed by the commutation matrix K_nn. Vanishes at the
-    optimal gain, where S = 0.
+    Column i is vec(dP/dtheta_i), which solves the Stein equation
+    dP = E_i'S + S'E_i + gamma Acl' dP Acl in the closed loop of P. Every
+    column is the vec of a symmetric matrix, hence fixed by the commutation
+    matrix K_nn. Vanishes at the optimal gain, where S = 0. Raises SingularT
+    for a gain numerically on the stabilizing boundary.
     """
     ev = Evaluation(prob, gain)
     return _jacobian_from(ev.Acl, ev.S, prob.gamma)

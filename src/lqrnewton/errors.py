@@ -14,13 +14,15 @@ class SeedNotStabilizing(LqrError):
 
 
 class NoConvergence(LqrError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """An iterative solver hit its iteration cap or missed its accuracy bound."""
 
 
 class SingularT(LqrError):
-    """The operator I - gamma*(Acl' (x) Acl') is too ill-conditioned to invert.
+    """The Stein operator I - gamma*(Acl' (x) Acl') is too ill-conditioned.
 
-    Signals that the gain sits numerically on the stabilizing boundary.
+    Its eigenvalues are 1 - gamma l_i l_j over the closed-loop eigenvalues
+    l; one near zero signals that the gain sits numerically on the
+    stabilizing boundary.
     """
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from .errors import NoConvergence, NotStabilizing
 from .linalg import kron, spectral_radius, unvec, vec
@@ -26,6 +27,8 @@ from .linalg import kron, spectral_radius, unvec, vec
 # Above this state dimension the n^2 x n^2 Kronecker solve is replaced by
 # a squared-iteration (doubling) evaluation of the same fixed point.
 _DIRECT_SOLVE_MAX_DIM = 20
+# Relative residual every doubling solve must reach; see _stein_solve.
+_RESID_TOL = 1e-10
 _SYM_TOL = 1e-9
 _PSD_TOL = 1e-9
 
@@ -189,28 +192,66 @@ def _require_stabilizing(prob: LqrProblem, gain: Gain, what: str) -> None:
 def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
     """Solve X = M + gamma * G X G' for symmetric M with gamma*rho(G)^2 < 1.
 
-    For small dimensions this is a direct linear solve of the vectorized
-    system (I - gamma * G (x) G) vec(X) = vec(M), refined once with the
-    computed residual. Larger systems use the squared-iteration form of the
-    same geometric series (F <- F @ F doubles the number of accumulated
-    terms per step), stopping when the increment falls below 1e-15 relative.
+    M is one (n, n) right-hand side or a stack (k, n, n) of them, all solved
+    against the same G; the result has M's shape, every slice symmetrized.
+
+    For n <= 20 the vectorized system (I - gamma * G (x) G) vec(X) = vec(M)
+    is LU-factored once; every slice is solved against that factorization
+    and refined once with its computed residual. Larger systems use the
+    squared-iteration form of the same geometric series (F <- F @ F doubles
+    the number of accumulated terms per step) until every slice's increment
+    is below 1e-15 * max(1, ||X||_F). Each doubled slice must then satisfy
+    ||M + gamma G X G' - X||_F <= 1e-10 * (1 + ||X||_F); the slices are
+    corrected once by doubling on their residual, and NoConvergence is
+    raised if any still misses the bound.
     """
     n = G.shape[0]
     if n <= _DIRECT_SOLVE_MAX_DIM:
-        T = np.eye(n * n) - gamma * kron(G, G)
-        X = unvec(np.linalg.solve(T, vec(M)), n, n)
+        lu, piv, info = _getrf(np.eye(n * n) - gamma * kron(G, G), overwrite_a=True)
+        if info != 0:
+            raise np.linalg.LinAlgError("discounted Lyapunov operator is singular")
+
+        def solve(rhs):
+            # the column-major vec of each slice is one column of the solve
+            cols = rhs.swapaxes(-1, -2).reshape(*M.shape[:-2], n * n).T
+            return _getrs(lu, piv, cols)[0].T.reshape(M.shape).swapaxes(-1, -2)
+
+        X = solve(M)
         # one refinement pass keeps the residual near round-off
-        resid = M + gamma * G @ X @ G.T - X
-        X = X + unvec(np.linalg.solve(T, vec(resid)), n, n)
-        return (X + X.T) / 2.0
-    X = M.copy()
+        X = X + solve(M + gamma * G @ X @ G.T - X)
+        return (X + X.swapaxes(-1, -2)) / 2.0
+    X = _doubling(G, M, gamma)
+    R = M + gamma * G @ X @ G.T - X
+    if not _within_bound(R, X):
+        X = X + _doubling(G, R, gamma)
+        if not _within_bound(M + gamma * G @ X @ G.T - X, X):
+            raise NoConvergence(
+                "discounted Lyapunov doubling missed its residual bound; the "
+                "closed loop is too close to the stabilizing boundary")
+    return X
+
+
+def _sq_norm(X: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of a matrix, or of each slice of a stack."""
+    v = X.reshape(*X.shape[:-2], -1)
+    return np.vecdot(v, v)
+
+
+def _within_bound(R: np.ndarray, X: np.ndarray) -> bool:
+    bound = _RESID_TOL * (1.0 + np.sqrt(_sq_norm(X)))
+    return bool((np.sqrt(_sq_norm(R)) <= bound).all())
+
+
+def _doubling(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
+    X = M
     F = np.sqrt(gamma) * G
     for _ in range(100):
         delta = F @ X @ F.T
         X = X + delta
         F = F @ F
-        if np.linalg.norm(delta, "fro") <= 1e-15 * max(1.0, np.linalg.norm(X, "fro")):
-            return (X + X.T) / 2.0
+        # ||delta||_F <= 1e-15 * max(1, ||X||_F), squared
+        if (_sq_norm(delta) <= 1e-30 * np.maximum(_sq_norm(X), 1.0)).all():
+            return (X + X.swapaxes(-1, -2)) / 2.0
     raise NoConvergence("discounted Lyapunov doubling iteration did not converge")
 
 

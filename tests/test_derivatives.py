@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lqrnewton import (Gain, LqrProblem, commutation_matrix, exact_hessian,
-                       gn_hessian, jacobian_vecP, lambda_term, optimal_gain,
-                       policy_gradient, solve_sigma, solve_value, vec)
+                       gn_hessian, initial_gain, jacobian_vecP, lambda_term,
+                       make_shear_building, optimal_gain, policy_gradient,
+                       solve_sigma, solve_value, vec)
 from lqrnewton.errors import NotStabilizing, SingularT
 from lqrnewton.oracles import fd_gradient, fd_hessian, scalar_reference
 
@@ -75,10 +76,15 @@ class TestJacobianVecP:
         assert np.linalg.norm(jac) <= 1e-8
 
     def test_matches_fd_of_value_matrix(self, instances6):
-        for prob, gain in instances6:
+        cases = [(prob, gain, range(prob.m * prob.n)) for prob, gain in instances6]
+        # the 24-floor building (n = 48) takes the doubling branch; a few
+        # columns of its 48 suffice
+        building = make_shear_building(floors=24, seed=0)
+        cases.append((building, initial_gain(building, r_inflation=2.0), (0, 23, 47)))
+        for prob, gain, columns in cases:
             jac = jacobian_vecP(prob, gain)
             theta0 = gain.theta
-            for i in range(theta0.size):
+            for i in columns:
                 hi = 1e-6 * max(1.0, abs(theta0[i]))
                 up, dn = theta0.copy(), theta0.copy()
                 up[i] += hi
@@ -94,14 +100,17 @@ class TestJacobianVecP:
             Knn = commutation_matrix(prob.n, prob.n)
             np.testing.assert_allclose(Knn @ jac, jac, atol=1e-12)
 
-    def test_singular_near_boundary(self):
+    @pytest.mark.parametrize("n", [2, 21])
+    def test_singular_near_boundary(self, n):
+        # n = 21 solves P by doubling, which must still reach the check
         gamma = 0.9
         rho = (1.0 - 1e-15) / np.sqrt(gamma)
-        p = LqrProblem(A=np.diag([rho, 0.0]), B=np.zeros((2, 1)), Q=np.eye(2),
-                       R=[[1.0]], gamma=gamma, Sigma_w=np.zeros((2, 2)),
-                       Sigma_0=np.eye(2))
+        A = np.zeros((n, n))
+        A[0, 0] = rho
+        p = LqrProblem(A=A, B=np.zeros((n, 1)), Q=np.eye(n), R=[[1.0]],
+                       gamma=gamma, Sigma_w=np.zeros((n, n)), Sigma_0=np.eye(n))
         with pytest.raises(SingularT):
-            jacobian_vecP(p, Gain(np.zeros((1, 2))))
+            jacobian_vecP(p, Gain(np.zeros((1, n))))
 
 
 class TestLambdaTerm:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lqrnewton import lqr
 from lqrnewton import (Gain, LqrProblem, action_value_at, closed_loop,
                        is_gamma_stabilizing, optimal_gain, pendulum_continuous,
                        performance, policy_gradient, solve_sigma, solve_value,
@@ -8,7 +9,7 @@ from lqrnewton import (Gain, LqrProblem, action_value_at, closed_loop,
 from lqrnewton.errors import NoConvergence, NotStabilizing
 from lqrnewton.oracles import scalar_reference
 
-from conftest import P_05, SCALAR, SIGMA_05, scalar_problem
+from conftest import P_05, SCALAR, SIGMA_05, rel_err, scalar_problem
 
 
 def simple_problem(**over):
@@ -201,6 +202,41 @@ class TestSolveSigma:
             trs.append(np.trace(solve_sigma(p, K)))
         assert np.all(np.diff(qs) > 0)
         assert np.all(np.diff(trs) > 0)
+
+
+def _near_boundary(n, margin, gamma=0.9):
+    # non-normal G = V T V^-1 with sqrt(gamma) * rho(G) = 1 - margin
+    rng = np.random.default_rng(0)
+    T = 0.5 * np.triu(rng.standard_normal((n, n)))
+    V = rng.standard_normal((n, n))
+    G = V @ T @ np.linalg.inv(V)
+    return G * (1.0 - margin) / (np.sqrt(gamma) * np.max(np.abs(np.linalg.eigvals(G))))
+
+
+class TestSteinSolve:
+    @pytest.mark.parametrize("n", [3, 25])
+    def test_stack_equals_per_slice_solves(self, n):
+        # n = 25 exercises the doubling branch, n = 3 the direct solve
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((n, n))
+        G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+        M = rng.standard_normal((4, n, n))
+        M = M + M.transpose(0, 2, 1)
+        X = lqr._stein_solve(G, M, 0.9)
+        assert X.shape == M.shape
+        for k in range(M.shape[0]):
+            np.testing.assert_array_equal(X[k], X[k].T)
+            assert rel_err(X[k], lqr._stein_solve(G, M[k], 0.9)) <= 1e-13
+
+    @pytest.mark.parametrize("n, margin", [(21, 1e-5), (21, 1e-2), (48, 1e-2)])
+    def test_doubling_meets_its_bound_or_refuses(self, n, margin):
+        G, M = _near_boundary(n, margin), np.eye(n)
+        try:
+            X = lqr._stein_solve(G, M, 0.9)
+        except NoConvergence:
+            return
+        resid = np.linalg.norm(M + 0.9 * G @ X @ G.T - X, "fro")
+        assert resid <= 1e-10 * (1.0 + np.linalg.norm(X, "fro"))
 
 
 class TestPerformance:
