@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DimensionUnsupported
 from .linalg import expm
-from .lqr import Gain, LqrProblem, is_gamma_stabilizing, optimal_gain, performance
+from .derivatives import Evaluation
+from .lqr import Gain, LqrProblem, optimal_gain
 
 GRAVITY = 9.81          # m/s^2
 PENDULUM_LENGTH = 1.0   # m
@@ -185,11 +186,10 @@ def landscape(prob: LqrProblem,
     stab = np.zeros((t1.size, t2.size), dtype=bool)
     for i, a in enumerate(t1):
         for j, b in enumerate(t2):
-            gain = Gain.from_theta(np.array([a, b]), prob.m, prob.n)
-            ok, _ = is_gamma_stabilizing(prob, gain)
-            if ok:
+            ev = Evaluation(prob, Gain.from_theta(np.array([a, b]), prob.m, prob.n))
+            if ev.stabilizing:
                 stab[i, j] = True
-                J[i, j] = performance(prob, gain)
+                J[i, j] = ev.J
     return LandscapeGrid(theta1=t1, theta2=t2, J=J, stabilizing=stab)
 
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import SingularT
 from .linalg import kron, vec
-from .lqr import (Gain, LqrProblem, ValueSolution, _stein_solve, closed_loop,
-                  is_gamma_stabilizing, solve_sigma, solve_value)
+from .lqr import (Gain, LqrProblem, ValueSolution, _not_stabilizing, _stein_solve,
+                  closed_loop, solve_sigma, solve_value)
 
 _COND_LIMIT = 1e14
 
@@ -62,10 +62,13 @@ class CurvatureReport:
 class Evaluation:
     """Every closed-form piece at one gain, each computed at most once.
 
-    Acl = A - B K is formed on construction; the margin, P and q, Sigma, J,
-    S, E = R + gamma B'PB, grad and H_gn are computed on first read and kept.
-    Reading P or Sigma at a non-stabilizing gain raises NotStabilizing.
-    Reads return the kept arrays themselves; do not modify them in place.
+    Acl = A - B K is formed on construction; the eigenvalues of
+    sqrt(gamma) * Acl, the margin, P and q, Sigma, J, S, E = R + gamma B'PB,
+    grad and H_gn are computed on first read and kept. That one eigenvalue
+    solve is the gain's only stability check: P and Sigma are solved without
+    another. Reading P or Sigma at a non-stabilizing gain raises
+    NotStabilizing. Reads return the kept arrays themselves; do not modify
+    them in place.
     """
 
     def __init__(self, prob: LqrProblem, gain: Gain):
@@ -74,22 +77,34 @@ class Evaluation:
         self.Acl = closed_loop(prob, gain)
 
     @cached_property
+    def eigvals(self) -> np.ndarray:
+        """Eigenvalues of sqrt(gamma) * Acl."""
+        return np.linalg.eigvals(np.sqrt(self.prob.gamma) * self.Acl)
+
+    @cached_property
     def margin(self) -> float:
         """1 - rho(sqrt(gamma) * Acl); positive exactly when stabilizing."""
-        return is_gamma_stabilizing(self.prob, self.gain)[1]
+        return 1.0 - float(np.max(np.abs(self.eigvals)))
 
     stabilizing = property(lambda self: self.margin > 0.0)
 
+    def _checked_Acl(self, what: str) -> np.ndarray:
+        if not self.stabilizing:
+            raise _not_stabilizing(what, self.margin)
+        return self.Acl
+
     @cached_property
     def _value(self) -> ValueSolution:
-        return solve_value(self.prob, self.gain)
+        return solve_value(self.prob, self.gain,
+                           checked_Acl=self._checked_Acl("solve_value"))
 
     P = property(lambda self: self._value.P)
     q = property(lambda self: self._value.q)
 
     @cached_property
     def Sigma(self) -> np.ndarray:
-        return solve_sigma(self.prob, self.gain)
+        return solve_sigma(self.prob, self.gain,
+                           checked_Acl=self._checked_Acl("solve_sigma"))
 
     @cached_property
     def J(self) -> float:
@@ -135,16 +150,17 @@ def gn_hessian(prob: LqrProblem, gain: Gain) -> np.ndarray:
     return Evaluation(prob, gain).H_gn
 
 
-def _jacobian_from(Acl: np.ndarray, S: np.ndarray, gamma: float) -> np.ndarray:
+def _jacobian_from(ev: Evaluation) -> np.ndarray:
     """Solve the m*n Stein equations dP_i as one stack; i = c*m + r is K[r, c].
 
-    The Stein operator's eigenvalues are 1 - gamma l_i l_j over the
-    closed-loop eigenvalues l; a gain with 1 / min |1 - gamma l_i l_j| above
-    _COND_LIMIT is numerically on the stabilizing boundary: SingularT.
+    The Stein operator's eigenvalues are 1 - mu_i mu_j over the eigenvalues
+    mu of sqrt(gamma) * Acl (the evaluation's own); a gain with
+    1 / min |1 - mu_i mu_j| above _COND_LIMIT is numerically on the
+    stabilizing boundary: SingularT.
     """
+    Acl, S, mu = ev.Acl, ev.S, ev.eigvals
     n, m = Acl.shape[0], S.shape[0]
-    lam = np.linalg.eigvals(Acl)
-    gap = np.min(np.abs(1.0 - gamma * np.multiply.outer(lam, lam)))
+    gap = np.min(np.abs(1.0 - np.multiply.outer(mu, mu)))
     cond = 1.0 / max(gap, 1e-300)
     if cond > _COND_LIMIT:
         raise SingularT(
@@ -155,7 +171,7 @@ def _jacobian_from(Acl: np.ndarray, S: np.ndarray, gamma: float) -> np.ndarray:
     rows = np.arange(n)
     C[rows, :, rows, :] = S
     C = C + C.transpose(0, 1, 3, 2)
-    dP = _stein_solve(Acl.T, C.reshape(n * m, n, n), gamma)
+    dP = _stein_solve(Acl.T, C.reshape(n * m, n, n), ev.prob.gamma)
     # each dP_i is symmetric, so its row-major ravel is vec(dP_i)
     return dP.reshape(n * m, n * n).T
 
@@ -169,8 +185,7 @@ def jacobian_vecP(prob: LqrProblem, gain: Gain) -> np.ndarray:
     matrix K_nn. Vanishes at the optimal gain, where S = 0. Raises SingularT
     for a gain numerically on the stabilizing boundary.
     """
-    ev = Evaluation(prob, gain)
-    return _jacobian_from(ev.Acl, ev.S, prob.gamma)
+    return _jacobian_from(Evaluation(prob, gain))
 
 
 def _lambda_from(ev: Evaluation, jac: np.ndarray) -> np.ndarray:
@@ -207,7 +222,7 @@ def exact_hessian(prob: LqrProblem, gain: Gain,
     ev = evaluation if evaluation is not None else Evaluation(prob, gain)
     if ev.prob is not prob or ev.gain is not gain:
         raise ValueError("evaluation was built for a different problem or gain")
-    jac = _jacobian_from(ev.Acl, ev.S, prob.gamma)
+    jac = _jacobian_from(ev)
     Lam = _lambda_from(ev, jac)
     H_raw = ev.H_gn + prob.gamma * Lam
     denom = max(np.linalg.norm(H_raw, "fro"), np.finfo(float).tiny)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from .errors import NoConvergence, NotStabilizing
-from .linalg import kron, spectral_radius, unvec, vec
+from .linalg import spectral_radius, unvec, vec
 
 # Above this state dimension the n^2 x n^2 Kronecker solve is replaced by
 # a squared-iteration (doubling) evaluation of the same fixed point.
@@ -181,12 +181,22 @@ def is_gamma_stabilizing(prob: LqrProblem, gain: Gain) -> tuple[bool, float]:
     return rho < 1.0, 1.0 - rho
 
 
-def _require_stabilizing(prob: LqrProblem, gain: Gain, what: str) -> None:
+def _not_stabilizing(what: str, margin: float) -> NotStabilizing:
+    return NotStabilizing(
+        f"{what} requires a gamma-stabilizing gain "
+        f"(rho(sqrt(gamma)*Acl) = {1.0 - margin:.6f} >= 1)")
+
+
+def _checked_closed_loop(prob: LqrProblem, gain: Gain, what: str,
+                         Acl: Optional[np.ndarray]) -> np.ndarray:
+    """The closed loop of a gain, checked to be gamma-stabilizing unless the
+    caller passes the closed loop it has already checked."""
+    if Acl is not None:
+        return Acl
     ok, margin = is_gamma_stabilizing(prob, gain)
     if not ok:
-        raise NotStabilizing(
-            f"{what} requires a gamma-stabilizing gain "
-            f"(rho(sqrt(gamma)*Acl) = {1.0 - margin:.6f} >= 1)")
+        raise _not_stabilizing(what, margin)
+    return closed_loop(prob, gain)
 
 
 def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
@@ -207,7 +217,11 @@ def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
     """
     n = G.shape[0]
     if n <= _DIRECT_SOLVE_MAX_DIM:
-        lu, piv, info = _getrf(np.eye(n * n) - gamma * kron(G, G), overwrite_a=True)
+        # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l]
+        T = (G[:, None, :, None] * G[None, :, None, :]).reshape(n * n, n * n)
+        T *= -gamma
+        T.flat[::n * n + 1] += 1.0
+        lu, piv, info = _getrf(T, overwrite_a=True)
         if info != 0:
             raise np.linalg.LinAlgError("discounted Lyapunov operator is singular")
 
@@ -255,15 +269,20 @@ def _doubling(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
     raise NoConvergence("discounted Lyapunov doubling iteration did not converge")
 
 
-def solve_value(prob: LqrProblem, gain: Gain) -> ValueSolution:
+def solve_value(prob: LqrProblem, gain: Gain, *,
+                checked_Acl: Optional[np.ndarray] = None) -> ValueSolution:
     """Value matrix P and offset q for a gamma-stabilizing gain.
 
     P is the fixed point of P = Q + K' R K + gamma * Acl' P Acl and
     q = gamma / (1 - gamma) * tr(P Sigma_w). The returned P is symmetrized
     and satisfies the fixed point to within ~1e-10 * (1 + ||P||_F).
+
+    Raises NotStabilizing for a gain outside the stabilizing set. A caller
+    that has already found the gain gamma-stabilizing passes its closed
+    loop A - B K as ``checked_Acl``; the eigenvalue check is then skipped
+    and the matrix is used as given, so it must be that closed loop.
     """
-    _require_stabilizing(prob, gain, "solve_value")
-    Acl = closed_loop(prob, gain)
+    Acl = _checked_closed_loop(prob, gain, "solve_value", checked_Acl)
     M = prob.Q + gain.K.T @ prob.R @ gain.K
     M = (M + M.T) / 2.0
     P = _stein_solve(Acl.T, M, prob.gamma)
@@ -271,15 +290,18 @@ def solve_value(prob: LqrProblem, gain: Gain) -> ValueSolution:
     return ValueSolution(P, q)
 
 
-def solve_sigma(prob: LqrProblem, gain: Gain) -> np.ndarray:
+def solve_sigma(prob: LqrProblem, gain: Gain, *,
+                checked_Acl: Optional[np.ndarray] = None) -> np.ndarray:
     """Discounted state correlation matrix Sigma for a stabilizing gain.
 
     Solves Sigma - gamma * Acl Sigma Acl' = Sigma_0 + gamma/(1-gamma) * Sigma_w.
     The result is symmetric PSD (up to round-off) and satisfies the equation
     to within ~1e-10 * (1 + ||Sigma||_F).
+
+    Raises NotStabilizing for a gain outside the stabilizing set;
+    ``checked_Acl`` skips that check as in :func:`solve_value`.
     """
-    _require_stabilizing(prob, gain, "solve_sigma")
-    Acl = closed_loop(prob, gain)
+    Acl = _checked_closed_loop(prob, gain, "solve_sigma", checked_Acl)
     M = prob.Sigma_0 + prob.gamma / (1.0 - prob.gamma) * prob.Sigma_w
     return _stein_solve(Acl, M, prob.gamma)
 

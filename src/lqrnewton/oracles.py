@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import NoConvergence, NotStabilizing, PerturbationLeftStabilizingSet
 from .linalg import kron, psd_sqrt, spectral_radius, unvec, vec
@@ -207,6 +206,8 @@ def _unit_variance_noise(rng: np.random.Generator, model: str,
     if model == "gaussian":
         return rng.standard_normal(shape)
     if model == "truncated_gaussian":
+        # imported here so that importing the package does not load scipy.special
+        from scipy.special import ndtr, ndtri
         c = _TRUNC_CUTOFF
         lo, hi = ndtr(-c), ndtr(c)
         z = ndtri(lo + (hi - lo) * rng.random(shape))

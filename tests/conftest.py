@@ -53,3 +53,16 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     denom = max(np.linalg.norm(want.ravel()), np.finfo(float).tiny)
     return float(np.linalg.norm((got - want).ravel()) / denom)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name for the test; returns the list of call arguments."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -7,6 +7,8 @@ from lqrnewton import (Gain, default_landscape_window, initial_gain,
                        performance, rotated_Q, spectral_radius, zoh_discretize)
 from lqrnewton.errors import DimensionUnsupported
 
+from conftest import count_calls
+
 
 class TestRotatedQ:
     def test_no_rotation_is_diagonal(self):
@@ -137,6 +139,18 @@ class TestLandscape:
         assert grid.stabilizing.any()
         assert np.all(np.isnan(grid.J[~grid.stabilizing]))
         assert np.all(np.isfinite(grid.J[grid.stabilizing]))
+
+    def test_one_stability_check_per_cell(self, monkeypatch):
+        p = make_pendulum()
+        t = initial_gain(p).theta
+        calls = count_calls(monkeypatch, np.linalg, "eigvals")
+        grid = landscape(p, (t[0] - 2000.0, t[0] + 2000.0, 9),
+                         (t[1] - 2000.0, t[1] + 2000.0, 9))
+        assert grid.stabilizing.any() and not grid.stabilizing.all()
+        assert len(calls) == grid.J.size
+        for i, j in zip(*np.nonzero(grid.stabilizing)):
+            gain = Gain.from_theta([grid.theta1[i], grid.theta2[j]], 1, 2)
+            assert grid.J[i, j] == performance(p, gain)
 
     def test_degenerate_single_point(self):
         p = make_pendulum()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lqrnewton import (Gain, LqrProblem, commutation_matrix, exact_hessian,
-                       gn_hessian, initial_gain, jacobian_vecP, lambda_term,
+from lqrnewton import (Evaluation, Gain, LqrProblem, commutation_matrix,
+                       exact_hessian, gn_hessian, initial_gain,
+                       is_gamma_stabilizing, jacobian_vecP, lambda_term,
                        make_shear_building, optimal_gain, policy_gradient,
                        solve_sigma, solve_value, vec)
 from lqrnewton.errors import NotStabilizing, SingularT
@@ -15,6 +16,25 @@ from conftest import (DP_05, GRAD_05, HEXACT_05, HGN_05, LAM_05, SCALAR,
 @pytest.fixture(scope="module")
 def instances6():
     return make_instances(6)
+
+
+class TestEvaluation:
+    def test_matches_the_public_functions_bit_for_bit(self, instances6):
+        for prob, gain in instances6:
+            ev = Evaluation(prob, gain)
+            assert (ev.stabilizing, ev.margin) == is_gamma_stabilizing(prob, gain)
+            P, q = solve_value(prob, gain)
+            np.testing.assert_array_equal(ev.P, P)
+            assert ev.q == q
+            np.testing.assert_array_equal(ev.Sigma, solve_sigma(prob, gain))
+
+    def test_raises_outside_stabilizing_set(self, scalar_prob):
+        ev = Evaluation(scalar_prob, Gain([[-9.0]]))
+        assert not ev.stabilizing and ev.margin < 0
+        with pytest.raises(NotStabilizing):
+            ev.P
+        with pytest.raises(NotStabilizing):
+            ev.Sigma
 
 
 class TestPolicyGradient:

@@ -9,7 +9,7 @@ from lqrnewton import (Gain, LqrProblem, action_value_at, closed_loop,
 from lqrnewton.errors import NoConvergence, NotStabilizing
 from lqrnewton.oracles import scalar_reference
 
-from conftest import P_05, SCALAR, SIGMA_05, rel_err, scalar_problem
+from conftest import P_05, SCALAR, SIGMA_05, count_calls, rel_err, scalar_problem
 
 
 def simple_problem(**over):
@@ -144,6 +144,16 @@ class TestSolveValue:
         with pytest.raises(NotStabilizing):
             solve_value(scalar_prob, Gain([[-5.0]]))
 
+    def test_checked_closed_loop_skips_the_check(self, monkeypatch):
+        p = simple_problem()
+        g = Gain([[0.1, 0.2], [0.0, 0.3]])
+        want = solve_value(p, g)
+        calls = count_calls(monkeypatch, np.linalg, "eigvals")
+        got = solve_value(p, g, checked_Acl=closed_loop(p, g))
+        assert calls == []
+        np.testing.assert_array_equal(got.P, want.P)
+        assert got.q == want.q
+
     @pytest.mark.parametrize("n", [3, 25])
     def test_residual_and_symmetry(self, n):
         # n = 25 exercises the doubling branch, n = 3 the direct solve
@@ -167,6 +177,10 @@ class TestSolveSigma:
     def test_scalar_closed_form(self, scalar_prob, scalar_gain):
         Sig = solve_sigma(scalar_prob, scalar_gain)
         assert Sig[0, 0] == pytest.approx(SIGMA_05, abs=1e-14)
+
+    def test_raises_for_unstable_gain(self, scalar_prob):
+        with pytest.raises(NotStabilizing):
+            solve_sigma(scalar_prob, Gain([[-5.0]]))
 
     def test_zero_closed_loop_collapses(self):
         # A = B, K = I makes Acl exactly zero
@@ -227,6 +241,17 @@ class TestSteinSolve:
         for k in range(M.shape[0]):
             np.testing.assert_array_equal(X[k], X[k].T)
             assert rel_err(X[k], lqr._stein_solve(G, M[k], 0.9)) <= 1e-13
+
+    def test_direct_operator_equals_the_kronecker_form(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal((4, 4))
+        G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+        seen = []  # copies: the operator is factored in place
+        getrf = lqr._getrf
+        monkeypatch.setattr(lqr, "_getrf",
+                            lambda a, **kw: seen.append(a.copy()) or getrf(a, **kw))
+        lqr._stein_solve(G, np.eye(4), 0.9)
+        np.testing.assert_array_equal(seen[0], np.eye(16) - 0.9 * np.kron(G, G))
 
     @pytest.mark.parametrize("n, margin", [(21, 1e-5), (21, 1e-2), (48, 1e-2)])
     def test_doubling_meets_its_bound_or_refuses(self, n, margin):

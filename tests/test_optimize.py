@@ -8,7 +8,7 @@ from lqrnewton import (CurvatureReport, Gain, OptimizerConfig, backtracking_sear
                        run, search_direction)
 from lqrnewton.errors import DirectionError, LineSearchFailure, SeedNotStabilizing
 
-from conftest import GRAD_05, HEXACT_05, make_instances
+from conftest import GRAD_05, HEXACT_05, count_calls, make_instances
 
 
 @pytest.fixture(scope="module")
@@ -227,38 +227,30 @@ class TestRun:
         np.testing.assert_allclose(rec.final_gain.K, rec.k_star.K, atol=1e-7)
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    fn = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestComputeOnce:
     def test_newton_evaluates_each_iterate_once(self, pendulum, monkeypatch):
         prob, k_star, seed = pendulum
-        stein = _count_calls(monkeypatch, lqr, "_stein_solve")
-        rho = _count_calls(monkeypatch, lqr, "spectral_radius")
+        stein = count_calls(monkeypatch, lqr, "_stein_solve")
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
         cfg = OptimizerConfig(method="newton", step_mode="fixed", alpha=1.0,
                               seed_gain=seed, grad_tol=1e-8, max_iter=40)
         rec = run(prob, cfg, k_star=k_star)
         assert rec.converged and len(rec.gains) > 2
-        # one P and one Sigma per iterate; one check for the iterate (or
-        # the trial it came from) plus the solvers' own two
+        # one P and one Sigma per iterate; one eigenvalue solve per iterate,
+        # which is its stability check and the Jacobian's conditioning estimate
         assert len(stein) == 2 * len(rec.gains)
-        assert len(rho) <= 3 * len(rec.gains)
+        assert len(eig) == len(rec.gains)
 
     def test_backtracking_never_solves_a_gain_twice(self, pendulum, monkeypatch):
         prob, k_star, seed = pendulum
-        stein = _count_calls(monkeypatch, lqr, "_stein_solve")
+        stein = count_calls(monkeypatch, lqr, "_stein_solve")
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
         cfg = OptimizerConfig(method="first_order", step_mode="backtracking",
                               seed_gain=seed, grad_tol=1e-8, max_iter=30)
         rec = run(prob, cfg, k_star=k_star)
         assert rec.iterations == 30 and rec.column("backtracks").sum() > 0
         keys = [(G.tobytes(), M.tobytes()) for G, M, _ in stein]
         assert len(keys) == len(set(keys))
+        # the seed plus every line-search trial, each checked once
+        trials = sum(s.backtracks + 1 for s in rec.steps if s.alpha_used > 0.0)
+        assert len(eig) == 1 + trials

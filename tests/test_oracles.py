@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import lqrnewton
 
 from lqrnewton import (Gain, LqrProblem, jacobian_vecP, lambda_term,
                        make_pendulum, initial_gain, optimal_gain, performance,
@@ -181,3 +188,14 @@ class TestMonteCarlo:
     def test_rejects_unstable_gain(self, scalar_prob):
         with pytest.raises(NotStabilizing):
             monte_carlo_J(scalar_prob, Gain([[-9.0]]), samples=10)
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special is only needed by the truncated-Gaussian noise law
+    src = str(Path(lqrnewton.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lqrnewton; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
