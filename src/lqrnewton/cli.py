@@ -61,7 +61,10 @@ def _cmd_optimize(args) -> int:
     if args.max_iter is not None:
         overrides["max_iter"] = args.max_iter
     if overrides:
-        chosen = OptimizerConfig(**{**chosen.__dict__, **overrides})
+        try:
+            chosen = OptimizerConfig(**{**chosen.__dict__, **overrides})
+        except ValueError as exc:
+            raise ConfigError(f"--tol/--max-iter: {exc}") from None
     if chosen.seed_gain is None:
         seed_gain = cfg.seed_gain if cfg.seed_gain is not None else initial_gain(cfg.problem)
         chosen = OptimizerConfig(**{**chosen.__dict__, "seed_gain": seed_gain})

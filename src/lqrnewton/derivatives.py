@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import SingularT
 from .linalg import kron, vec
-from .lqr import (Gain, LqrProblem, ValueSolution, _not_stabilizing, _stein_solve,
-                  closed_loop, solve_sigma, solve_value)
+from .lqr import (Gain, LqrProblem, ValueSolution, _cost_of, _not_stabilizing,
+                  _require_finite, _stein_solve, _value_of, closed_loop, solve_sigma,
+                  solve_value)
 
 _COND_LIMIT = 1e14
 
@@ -109,7 +110,7 @@ class Evaluation:
     @cached_property
     def J(self) -> float:
         """Performance tr(P Sigma_0) + q."""
-        return float(np.trace(self.P @ self.prob.Sigma_0)) + self.q
+        return float(_cost_of(self.prob, self.P, self.q))
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -129,6 +130,50 @@ class Evaluation:
     @cached_property
     def H_gn(self) -> np.ndarray:
         return 2.0 * kron(self.Sigma, self.E)
+
+
+class Trials:
+    """Line-search trial gains theta0 + alpha_j * direction, one per entry of
+    ``alphas``, evaluated as stacks.
+
+    One eigenvalue call checks every trial and one Stein call solves P for
+    the stabilizing ones; a non-stabilizing trial is never solved. The
+    margin, P, q and J formulas are the ones :class:`Evaluation` uses,
+    broadcast over the trials (see ``_stein_solve`` for when a stacked P
+    can differ from a solve of its own in the last bits). ``stabilizing``
+    and ``J`` (NaN where not stabilizing) are vectors over the trials. A
+    non-finite trial gain raises ValueError, as Gain does.
+    """
+
+    def __init__(self, prob: LqrProblem, theta0: np.ndarray, direction: np.ndarray,
+                 alphas: np.ndarray):
+        k = len(alphas)
+        # row j is vec(K_j); unvec each row into the view Gain.from_theta gives
+        K = (theta0 + alphas[:, None] * direction).reshape(k, prob.n, prob.m)
+        K = K.swapaxes(-1, -2)
+        _require_finite(K, "K")
+        Acl = prob.A - prob.B @ K
+        self.prob, self.K, self.Acl = prob, K, Acl
+        self.eigvals = np.linalg.eigvals(np.sqrt(prob.gamma) * Acl)
+        margin = 1.0 - np.max(np.abs(self.eigvals), axis=-1)
+        self.stabilizing = s = margin > 0.0
+        self.J = np.full(k, np.nan)
+        if s.any():
+            if not s.all():
+                K, Acl = K[s], Acl[s]
+            self._P, self._q = _value_of(prob, K, Acl)
+            self.J[s] = _cost_of(prob, self._P, self._q)
+
+    def evaluation(self, j: int) -> Evaluation:
+        """Trial j's Evaluation, carrying the eigenvalues, P, q and J
+        computed here."""
+        ev = Evaluation(self.prob, Gain(self.K[j]))
+        ev.eigvals = self.eigvals[j]
+        if self.stabilizing[j]:
+            i = int(np.count_nonzero(self.stabilizing[:j]))
+            ev._value = ValueSolution(self._P[i], float(self._q[i]))
+            ev.J = float(self.J[j])
+        return ev
 
 
 def policy_gradient(prob: LqrProblem, gain: Gain) -> np.ndarray:

@@ -134,6 +134,18 @@ def _method_from(node, idx: int) -> OptimizerConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _grid_range(node, path: str) -> tuple[float, float, int]:
+    try:
+        lo, hi, steps = float(node[0]), float(node[1]), int(node[2])
+    except (TypeError, ValueError, OverflowError, IndexError, KeyError):
+        raise ConfigError(f"{path}: expected [lo, hi, steps]") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"{path}: bounds must be finite")
+    if steps < 1:
+        raise ConfigError(f"{path}: steps must be at least 1, got {steps}")
+    return lo, hi, steps
+
+
 def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(doc, dict):
@@ -170,12 +182,8 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
         node = doc["landscape"]
         if not isinstance(node, dict) or not {"theta1", "theta2"} <= set(node):
             raise ConfigError("landscape: expected an object with theta1 and theta2")
-        try:
-            r1 = (float(node["theta1"][0]), float(node["theta1"][1]), int(node["theta1"][2]))
-            r2 = (float(node["theta2"][0]), float(node["theta2"][1]), int(node["theta2"][2]))
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError("landscape.theta1/theta2: expected [lo, hi, steps]") from None
-        ranges = (r1, r2)
+        ranges = (_grid_range(node["theta1"], "landscape.theta1"),
+                  _grid_range(node["theta2"], "landscape.theta2"))
 
     out = Path(output_dir if output_dir is not None else doc.get("output_dir", "out"))
     gain = Gain(_matrix(doc["gain"], "gain")) if "gain" in doc else None

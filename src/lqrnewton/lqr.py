@@ -37,9 +37,13 @@ def _as_matrix(x, name: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.ndim != 2:
         raise ValueError(f"{name} must be a matrix, got ndim={a.ndim}")
+    _require_finite(a, name)
+    return a
+
+
+def _require_finite(a: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
-    return a
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
@@ -202,43 +206,49 @@ def _checked_closed_loop(prob: LqrProblem, gain: Gain, what: str,
 def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
     """Solve X = M + gamma * G X G' for symmetric M with gamma*rho(G)^2 < 1.
 
-    M is one (n, n) right-hand side or a stack (k, n, n) of them, all solved
-    against the same G; the result has M's shape, every slice symmetrized.
+    M is one (n, n) right-hand side or a stack (k, n, n) of them. G is one
+    (n, n) matrix shared by every slice, or a (k, n, n) stack paired with M
+    slice by slice. The result has M's shape, every slice symmetrized.
 
     For n <= 20 the vectorized system (I - gamma * G (x) G) vec(X) = vec(M)
-    is LU-factored once; every slice is solved against that factorization
-    and refined once with its computed residual. Larger systems use the
-    squared-iteration form of the same geometric series (F <- F @ F doubles
-    the number of accumulated terms per step) until every slice's increment
-    is below 1e-15 * max(1, ||X||_F). Each doubled slice must then satisfy
+    is LU-factored once per G; every slice is solved against its G's
+    factorization and refined once with its computed residual, so a paired
+    slice gets the same LAPACK calls as a solve of its own. Larger systems
+    use the squared-iteration form of the same geometric series (F <- F @ F
+    doubles the number of accumulated terms per step) until every slice's
+    increment is below 1e-15 * max(1, ||X||_F); a stack therefore iterates
+    until its slowest slice converges. Each doubled slice must then satisfy
     ||M + gamma G X G' - X||_F <= 1e-10 * (1 + ||X||_F); the slices are
     corrected once by doubling on their residual, and NoConvergence is
     raised if any still misses the bound.
     """
-    n = G.shape[0]
+    n = G.shape[-1]
+    Gt = G.swapaxes(-1, -2)
     if n <= _DIRECT_SOLVE_MAX_DIM:
+        Gs = G.reshape(-1, n, n)
         # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l]
-        T = (G[:, None, :, None] * G[None, :, None, :]).reshape(n * n, n * n)
+        T = (Gs[:, :, None, :, None] * Gs[:, None, :, None, :]).reshape(-1, n * n, n * n)
         T *= -gamma
-        T.flat[::n * n + 1] += 1.0
-        lu, piv, info = _getrf(T, overwrite_a=True)
-        if info != 0:
+        T.reshape(len(T), -1)[:, ::n * n + 1] += 1.0
+        lus = [_getrf(t, overwrite_a=True) for t in T]
+        if any(info != 0 for _, _, info in lus):
             raise np.linalg.LinAlgError("discounted Lyapunov operator is singular")
 
         def solve(rhs):
-            # the column-major vec of each slice is one column of the solve
-            cols = rhs.swapaxes(-1, -2).reshape(*M.shape[:-2], n * n).T
-            return _getrs(lu, piv, cols)[0].T.reshape(M.shape).swapaxes(-1, -2)
+            # the column-major vec of each slice is one column of its G's solve
+            cols = rhs.swapaxes(-1, -2).reshape(len(lus), -1, n * n)
+            X = [_getrs(lu, piv, c.T)[0].T for (lu, piv, _), c in zip(lus, cols)]
+            return np.concatenate(X).reshape(M.shape).swapaxes(-1, -2)
 
         X = solve(M)
         # one refinement pass keeps the residual near round-off
-        X = X + solve(M + gamma * G @ X @ G.T - X)
+        X = X + solve(M + gamma * G @ X @ Gt - X)
         return (X + X.swapaxes(-1, -2)) / 2.0
     X = _doubling(G, M, gamma)
-    R = M + gamma * G @ X @ G.T - X
+    R = M + gamma * G @ X @ Gt - X
     if not _within_bound(R, X):
         X = X + _doubling(G, R, gamma)
-        if not _within_bound(M + gamma * G @ X @ G.T - X, X):
+        if not _within_bound(M + gamma * G @ X @ Gt - X, X):
             raise NoConvergence(
                 "discounted Lyapunov doubling missed its residual bound; the "
                 "closed loop is too close to the stabilizing boundary")
@@ -260,7 +270,7 @@ def _doubling(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
     X = M
     F = np.sqrt(gamma) * G
     for _ in range(100):
-        delta = F @ X @ F.T
+        delta = F @ X @ F.swapaxes(-1, -2)
         X = X + delta
         F = F @ F
         # ||delta||_F <= 1e-15 * max(1, ||X||_F), squared
@@ -283,11 +293,28 @@ def solve_value(prob: LqrProblem, gain: Gain, *,
     and the matrix is used as given, so it must be that closed loop.
     """
     Acl = _checked_closed_loop(prob, gain, "solve_value", checked_Acl)
-    M = prob.Q + gain.K.T @ prob.R @ gain.K
-    M = (M + M.T) / 2.0
-    P = _stein_solve(Acl.T, M, prob.gamma)
-    q = prob.gamma / (1.0 - prob.gamma) * float(np.trace(P @ prob.Sigma_w))
-    return ValueSolution(P, q)
+    P, q = _value_of(prob, gain.K, Acl)
+    return ValueSolution(P, float(q))
+
+
+def _value_of(prob: LqrProblem, K: np.ndarray,
+              Acl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and q of gains K with gamma-stabilizing closed loops Acl = A - B K.
+
+    Broadcasts over leading axes: K of shape (..., m, n) and Acl of shape
+    (..., n, n) give P of shape (..., n, n) and q of shape (...), all P
+    solved in one Stein call. The closed loops are not checked here.
+    """
+    M = prob.Q + K.swapaxes(-1, -2) @ prob.R @ K
+    M = (M + M.swapaxes(-1, -2)) / 2.0
+    P = _stein_solve(Acl.swapaxes(-1, -2), M, prob.gamma)
+    q = prob.gamma / (1.0 - prob.gamma) * np.trace(P @ prob.Sigma_w, axis1=-2, axis2=-1)
+    return P, q
+
+
+def _cost_of(prob: LqrProblem, P: np.ndarray, q) -> np.ndarray:
+    """Performance tr(P Sigma_0) + q, broadcast over leading axes of P and q."""
+    return np.trace(P @ prob.Sigma_0, axis1=-2, axis2=-1) + q
 
 
 def solve_sigma(prob: LqrProblem, gain: Gain, *,
@@ -309,7 +336,7 @@ def solve_sigma(prob: LqrProblem, gain: Gain, *,
 def performance(prob: LqrProblem, gain: Gain) -> float:
     """Expected discounted cost J = tr(P Sigma_0) + q under the gain's policy."""
     P, q = solve_value(prob, gain)
-    return float(np.trace(P @ prob.Sigma_0)) + q
+    return float(_cost_of(prob, P, q))
 
 
 def value_at(sol: ValueSolution, s: np.ndarray) -> float:

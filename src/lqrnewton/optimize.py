@@ -19,12 +19,19 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import DirectionError, LineSearchFailure, SeedNotStabilizing
+from .errors import DirectionError, LineSearchFailure, NoConvergence, SeedNotStabilizing
 from .lqr import Gain, LqrProblem, optimal_gain
-from .derivatives import CurvatureReport, Evaluation, exact_hessian
+from .derivatives import CurvatureReport, Evaluation, Trials, exact_hessian
 
 METHODS = ("first_order", "gauss_newton", "newton")
 STEP_MODES = ("fixed", "backtracking")
+# Largest state dimension whose line search sizes its first block of trials
+# by the previous search's depth. A block saves one call per trial it holds
+# and wastes one slice per trial past the accepted one. On a 2-core x86 VM
+# with one BLAS thread, a slice cost less than a call up to n = 8 (at n = 2,
+# 20 us against 110 us) and more from n = 10 on (at n = 20, 6 ms: the LU of
+# the 400 x 400 Stein operator).
+_BLOCK_MAX_DIM = 8
 
 
 @dataclass
@@ -153,12 +160,26 @@ def search_direction(method: str, report: CurvatureReport,
 
 
 def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
-               grad: np.ndarray, cfg: OptimizerConfig):
+               grad: np.ndarray, cfg: OptimizerConfig, depth_hint: int = 0):
     """Armijo backtracking with a stabilization guard.
 
-    Returns (alpha, trial Evaluation, backtracks); trial gains outside the
-    stabilizing set count as Armijo failures. Raises LineSearchFailure when
-    max_backtracks shrinks are exhausted.
+    Returns (alpha, trial Evaluation, backtracks) for the first j whose
+    step alpha = alpha0 * shrink^j gives a stabilizing gain that meets the
+    Armijo decrease; trial gains outside the stabilizing set count as
+    Armijo failures. Raises LineSearchFailure when max_backtracks shrinks
+    are exhausted.
+
+    The first block of trials holds trials 0 .. max(depth_hint, 1) - 1,
+    where run passes the depth of its previous search; later trials go one
+    at a time. A block of several trials is evaluated as stacks
+    (:class:`Trials`), and a single trial as an :class:`Evaluation`,
+    which costs less than a stack of one. A block computes trials past the
+    accepted one only when the search ends shallower than the hint, so for
+    n > _BLOCK_MAX_DIM, where such a trial costs more than the call a
+    block saves, every block is one trial. The schedule sets how much work
+    is done, never the result: a block that raises is evaluated again one
+    trial at a time, so an error surfaces only at a trial that a
+    trial-by-trial search reaches.
     """
     theta0 = gain.theta
     if not np.any(direction):
@@ -166,12 +187,36 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
     slope = float(grad @ direction)
     if slope >= 0.0:
         raise DirectionError("backtracking requires a descent direction")
-    alpha = cfg.alpha
-    for j in range(cfg.max_backtracks + 1):
-        trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction, prob.m, prob.n))
-        if trial.stabilizing and trial.J <= J0 + cfg.c_armijo * alpha * slope:
-            return alpha, trial, j
-        alpha *= cfg.shrink
+
+    def bound(alpha):
+        # Armijo: the cost must fall to J0 + c * alpha * slope or below
+        return J0 + cfg.c_armijo * alpha * slope
+
+    j, alpha = 0, cfg.alpha
+    size = max(depth_hint, 1) if prob.n <= _BLOCK_MAX_DIM else 1
+    while j <= cfg.max_backtracks:
+        size = min(size, cfg.max_backtracks + 1 - j)
+        if size == 1:
+            trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
+                                                     prob.m, prob.n))
+            if trial.stabilizing and trial.J <= bound(alpha):
+                return alpha, trial, j
+            j, alpha = j + 1, alpha * cfg.shrink
+            continue
+        # repeated multiplication, the same floats as alpha *= shrink
+        alphas = np.multiply.accumulate([alpha] + [cfg.shrink] * (size - 1))
+        try:
+            trials = Trials(prob, theta0, direction, alphas)
+        except (ValueError, NoConvergence, np.linalg.LinAlgError):
+            size = 1  # evaluate the block again, one trial at a time
+            continue
+        ok = trials.stabilizing & (trials.J <= bound(alphas))
+        if ok.any():
+            i = int(ok.argmax())
+            return float(alphas[i]), trials.evaluation(i), j + i
+        j += size
+        alpha = float(alphas[-1]) * cfg.shrink
+        size = 1
     raise LineSearchFailure(
         f"no stabilizing Armijo step within {cfg.max_backtracks} backtracks")
 
@@ -182,6 +227,8 @@ def backtracking_search(prob: LqrProblem, gain: Gain, direction: np.ndarray,
     """Public line search: smallest j with alpha = alpha0 * shrink^j whose
     gain is stabilizing and satisfies the Armijo decrease. Returns
     (alpha, new_gain); a zero direction returns (alpha0, gain) unchanged.
+    The trials are evaluated as in :func:`run`'s search, from a first
+    block of one trial, since no previous search sizes it.
     """
     alpha, trial, _ = _backtrack(prob, gain, direction, J0, grad, cfg)
     return alpha, trial.gain
@@ -207,6 +254,7 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
         k_star, _ = optimal_gain(prob)
 
     rec = RunRecord(k_star=k_star)
+    backtracks = 0
     for k in range(cfg.max_iter + 1):
         gain = ev.gain
         grad_norm = float(np.linalg.norm(ev.grad))
@@ -246,8 +294,9 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
             alpha_used, backtracks = cfg.alpha, 0
         else:
             try:
+                # the previous search's depth sizes this search's first block
                 alpha_used, trial, backtracks = _backtrack(
-                    prob, gain, direction, ev.J, ev.grad, cfg)
+                    prob, gain, direction, ev.J, ev.grad, cfg, backtracks)
             except LineSearchFailure:
                 record(0.0, 0)
                 rec.flag = "line_search_failure"

@@ -66,3 +66,10 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def stack_slices(*arrays):
+    """Split matrices or (k, n, n) stacks that broadcast together into their
+    slices: one tuple per slice, holding that slice of every array."""
+    arrays = np.broadcast_arrays(*arrays)
+    return list(zip(*(a.reshape(-1, *a.shape[-2:]) for a in arrays)))

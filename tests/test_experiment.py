@@ -72,6 +72,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"problem": {"generator": "shear_building", "floors": 2}})
 
+    @pytest.mark.parametrize("theta1, message", [
+        ([0.0, 1.0, -1], "steps"), ([0.0, 1.0, 0], "steps"),
+        ([0.0, float("inf"), 3], "finite"), ([float("nan"), 1.0, 3], "finite"),
+        ([0.0, 1.0, float("inf")], "expected"), ([0.0, 1.0], "expected")],
+        ids=["negative-steps", "zero-steps", "infinite-bound", "nan-bound",
+             "infinite-steps", "missing-steps"])
+    def test_landscape_ranges_validated(self, theta1, message):
+        doc = {"problem": {"generator": "pendulum"},
+               "landscape": {"theta1": theta1, "theta2": [0.0, 1.0, 3]}}
+        with pytest.raises(ConfigError, match=rf"landscape\.theta1: .*{message}"):
+            config_from_dict(doc)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "problem": ,\n}', encoding="utf-8")
@@ -228,7 +240,17 @@ class TestCli:
         malformed.write_text('{"problem": ', encoding="utf-8")
         as_list = write_config(tmp_path, [PENDULUM_DOC], name="list.json")
         missing = str(tmp_path / "missing.json")
+        pendulum = write_config(tmp_path, PENDULUM_DOC, name="pendulum.json")
+        bad_steps = write_config(tmp_path, {
+            "problem": {"generator": "pendulum"},
+            "landscape": {"theta1": [0.0, 1.0, -1], "theta2": [0.0, 1.0, 3]}},
+            name="steps.json")
         cases = [["solve", "--config", str(path)],
+                 ["optimize", "--config", str(pendulum), "--method", "newton",
+                  "--tol", "-1"],
+                 ["optimize", "--config", str(pendulum), "--method", "newton",
+                  "--max-iter", "0"],
+                 ["landscape", "--config", str(bad_steps)],
                  ["experiment", "--config", str(malformed), "--seed", "1"],
                  ["experiment", "--config", str(as_list), "--seed", "1"],
                  ["solve", "--config", missing],

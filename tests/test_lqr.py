@@ -241,6 +241,19 @@ class TestSteinSolve:
         for k in range(M.shape[0]):
             np.testing.assert_array_equal(X[k], X[k].T)
             assert rel_err(X[k], lqr._stein_solve(G, M[k], 0.9)) <= 1e-13
+        # a distinct G per slice, at radii whose doubling needs different
+        # numbers of steps; the direct solve gives each slice its own LU
+        Gs = rng.standard_normal((4, n, n))
+        radii = np.array([0.2, 0.5, 0.9, 0.99])
+        Gs *= (radii / np.max(np.abs(np.linalg.eigvals(Gs)), axis=-1))[:, None, None]
+        X = lqr._stein_solve(Gs, M, 0.9)
+        assert X.shape == M.shape
+        for k in range(M.shape[0]):
+            want = lqr._stein_solve(Gs[k], M[k], 0.9)
+            if n <= lqr._DIRECT_SOLVE_MAX_DIM:
+                np.testing.assert_array_equal(X[k], want)
+            else:
+                assert rel_err(X[k], want) <= 1e-13
 
     def test_direct_operator_equals_the_kronecker_form(self, monkeypatch):
         rng = np.random.default_rng(5)

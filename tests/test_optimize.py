@@ -1,14 +1,19 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from lqrnewton import lqr
-from lqrnewton import (CurvatureReport, Gain, OptimizerConfig, backtracking_search,
-                       exact_hessian, initial_gain, is_gamma_stabilizing,
-                       make_pendulum, optimal_gain, performance, policy_gradient,
-                       run, search_direction)
-from lqrnewton.errors import DirectionError, LineSearchFailure, SeedNotStabilizing
+from lqrnewton import (CurvatureReport, Evaluation, Gain, OptimizerConfig,
+                       backtracking_search, exact_hessian, initial_gain,
+                       is_gamma_stabilizing, make_pendulum, make_shear_building,
+                       optimal_gain, performance, policy_gradient, run,
+                       search_direction)
+from lqrnewton.errors import (DirectionError, LineSearchFailure, NoConvergence,
+                              SeedNotStabilizing)
+from lqrnewton.optimize import _backtrack
 
-from conftest import GRAD_05, HEXACT_05, count_calls, make_instances
+from conftest import GRAD_05, HEXACT_05, count_calls, make_instances, stack_slices
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +254,127 @@ class TestComputeOnce:
                               seed_gain=seed, grad_tol=1e-8, max_iter=30)
         rec = run(prob, cfg, k_star=k_star)
         assert rec.iterations == 30 and rec.column("backtracks").sum() > 0
-        keys = [(G.tobytes(), M.tobytes()) for G, M, _ in stein]
+        keys = [(g.tobytes(), m.tobytes())
+                for G, M, _ in stein for g, m in stack_slices(G, M)]
         assert len(keys) == len(set(keys))
-        # the seed plus every line-search trial, each checked once
-        trials = sum(s.backtracks + 1 for s in rec.steps if s.alpha_used > 0.0)
-        assert len(eig) == 1 + trials
+        # the seed and every line-search trial, each checked once, plus the
+        # trials a search computes past its accepted one: its first block
+        # holds as many trials as the previous search rejected
+        depths = [s.backtracks for s in rec.steps if s.alpha_used > 0.0]
+        trials = sum(b + 1 for b in depths)
+        speculative = sum(max(0, prev - 1 - b) for prev, b in zip([0] + depths, depths))
+        assert sum(len(stack_slices(a)) for a, in eig) == 1 + trials + speculative
+        # a trial-by-trial search makes one eigenvalue call per trial
+        assert len(eig) < 1 + trials
+
+
+def _sequential_backtrack(prob, gain, direction, J0, grad, cfg):
+    """Reference line search: one Evaluation per trial, in order."""
+    slope = float(grad @ direction)
+    alpha = cfg.alpha
+    for j in range(cfg.max_backtracks + 1):
+        trial = Evaluation(prob, Gain.from_theta(gain.theta + alpha * direction,
+                                                 prob.m, prob.n))
+        if trial.stabilizing and trial.J <= J0 + cfg.c_armijo * alpha * slope:
+            return alpha, trial, j
+        alpha *= cfg.shrink
+    raise LineSearchFailure("reference search exhausted")
+
+
+def _search_start(prob, method):
+    ev = Evaluation(prob, initial_gain(prob))
+    rep = exact_hessian(prob, ev.gain, ev) if method == "newton" else \
+        CurvatureReport(grad=ev.grad, S=ev.S)
+    return ev, search_direction(method, rep)
+
+
+class TestLadder:
+    """The stacked line search accepts the trial a trial-by-trial search
+    accepts, with the same bits, whatever the depth hint."""
+
+    CASES = [("pendulum", "first_order"), ("building", "first_order"),
+             ("building", "newton")]
+
+    @pytest.fixture(scope="class")
+    def plants(self):
+        return {"pendulum": make_pendulum(),
+                "building": make_shear_building(floors=3, seed=7)}
+
+    @staticmethod
+    def assert_same(got, want):
+        (a, ev, b), (a_ref, ev_ref, b_ref) = got, want
+        assert type(a) is float and a == a_ref and b == b_ref
+        assert ev.gain.K.tobytes() == ev_ref.gain.K.tobytes()
+        assert ev.J == ev_ref.J and ev.margin == ev_ref.margin
+        np.testing.assert_array_equal(ev.P, ev_ref.P)
+        np.testing.assert_array_equal(ev.Sigma, ev_ref.Sigma)
+
+    @pytest.mark.parametrize("plant, method", CASES)
+    @pytest.mark.parametrize("hint", [0, 1, 3, 60])
+    def test_matches_trial_by_trial_search(self, plants, plant, method, hint):
+        prob = plants[plant]
+        ev, d = _search_start(prob, method)
+        cfg = OptimizerConfig(method=method, alpha=1.0)
+        want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg)
+        if plant == "pendulum":
+            # the full first-order step leaves the stabilizing set
+            assert want[2] >= 3
+            assert not Evaluation(prob, Gain.from_theta(ev.gain.theta + d, 1, 2)).stabilizing
+        got = _backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=hint)
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize("hint", [0, 1, 3, 60])
+    def test_budget_and_failure(self, plants, hint):
+        prob = plants["pendulum"]
+        ev, d = _search_start(prob, "first_order")
+        args = (prob, ev.gain, d, ev.J, ev.grad)
+        alpha, _, depth = _sequential_backtrack(*args, OptimizerConfig(alpha=1.0))
+        for cfg in (OptimizerConfig(alpha=1.0, max_backtracks=depth),
+                    OptimizerConfig(alpha=alpha, max_backtracks=0)):
+            self.assert_same(_backtrack(*args, cfg, depth_hint=hint),
+                             _sequential_backtrack(*args, cfg))
+        for max_backtracks in (0, depth - 1):
+            cfg = OptimizerConfig(alpha=1.0, max_backtracks=max_backtracks)
+            with pytest.raises(LineSearchFailure):
+                _backtrack(*args, cfg, depth_hint=hint)
+
+    @pytest.mark.parametrize("floors, stacked", [(4, True), (5, False)])
+    def test_first_block_is_one_trial_above_the_block_dimension(self, monkeypatch,
+                                                                floors, stacked):
+        # n = 8 stacks the hinted trials; n = 10 evaluates the trials it needs
+        prob = make_shear_building(floors=floors, seed=7)
+        ev, d = _search_start(prob, "newton")
+        cfg = OptimizerConfig(alpha=1.0)
+        want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg)
+        hint = want[2] + 3
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        got = _backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=hint)
+        self.assert_same(got, want)
+        slices = sum(len(stack_slices(a)) for a, in eig)
+        assert slices == (hint if stacked else want[2] + 1)
+
+    def test_a_block_that_raises_is_searched_trial_by_trial(self, plants, monkeypatch):
+        prob = plants["pendulum"]
+        ev, d = _search_start(prob, "first_order")
+        cfg = OptimizerConfig(alpha=1.0)
+        want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg)
+        solve = lqr._stein_solve
+
+        def single_slices_only(G, M, gamma):
+            if G.ndim == 3 and len(G) > 1:
+                raise NoConvergence("stacked solve refused")
+            return solve(G, M, gamma)
+
+        monkeypatch.setattr(lqr, "_stein_solve", single_slices_only)
+        self.assert_same(_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=60),
+                         want)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_trial_gain_raises(self, plants):
+        prob = plants["pendulum"]
+        ev, d = _search_start(prob, "first_order")
+        cfg = OptimizerConfig(alpha=1e308)
+        assert not np.isfinite(ev.gain.theta + cfg.alpha * d).all()
+        for search in (_sequential_backtrack, partial(_backtrack, depth_hint=3)):
+            with pytest.raises(ValueError, match="non-finite"):
+                search(prob, ev.gain, d, ev.J, ev.grad, cfg)
