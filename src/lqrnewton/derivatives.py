@@ -7,8 +7,9 @@ Key quantities, for a stabilizing gain K with closed loop Acl = A - B K,
 value matrix P and discounted state correlation Sigma:
 
     S      = R K - gamma * B' P Acl          (gradient kernel, m x n)
+    E      = R + gamma * B' P B              (m x m, positive definite)
     grad   = 2 * vec(S Sigma)                (length m*n)
-    H_gn   = 2 * Sigma (x) (R + gamma B'PB)  (Gauss-Newton, PD when Sigma is)
+    H_gn   = 2 * Sigma (x) E                 (Gauss-Newton, PD when Sigma is)
     dP_i   = E_i'S + S'E_i + gamma Acl' dP_i Acl  (E_i: unit m x n at theta_i)
     jac    = [vec(dP_1) ... vec(dP_mn)]  (d vec(P) / d theta)
     Lambda = -2 [ (Sigma Acl' (x) B') jac + jac' (Acl Sigma (x) B) ]
@@ -16,6 +17,19 @@ value matrix P and discounted state correlation Sigma:
 
 S vanishes at the optimal gain, so grad, jac and Lambda all vanish there and
 the Gauss-Newton surrogate matches the exact Hessian.
+
+Neither the Gauss-Newton step nor Lambda needs a Kronecker product. Since
+(Sigma (x) E) vec(X) = vec(E X Sigma), the Gauss-Newton step is
+
+    -H_gn^-1 grad = -vec(E^-1 S)
+
+wherever Sigma is invertible. That is Hewer's policy-improvement step
+K <- K - E^-1 S, which is defined wherever E is, so the optimizer takes it
+even where Sigma, and H_gn with it, is singular. Column i of the first
+term of Lambda is vec(B' dP_i Acl Sigma), and the second term is the
+transpose of the first, so
+
+    Lambda = -2 (T1 + T1'),  T1 = [vec(B' dP_1 Acl Sigma) ... vec(B' dP_mn Acl Sigma)]
 
 The functions here are pure and thread-safe; an :class:`Evaluation` caches,
 so give each thread its own. The columns of jac are independent of one
@@ -42,22 +56,22 @@ _COND_LIMIT = 1e14
 
 @dataclass
 class CurvatureReport:
-    """Derivative bundle at one gain.
+    """The gradient, both Hessians and their ingredients at one gain, as
+    assembled by :func:`exact_hessian`.
 
-    Fields not needed by a caller are None (e.g. a gradient-only report).
-    When assembled by :func:`exact_hessian` every field is populated,
     H_exact equals H_gn + gamma * Lambda exactly as computed, and
     ``h_exact_asym`` records the relative asymmetry of H_exact before its
-    final symmetrization.
+    final symmetrization. ``jac_vecP`` is a view of the Jacobian's stack of
+    dP_i matrices.
     """
 
     grad: np.ndarray
     S: np.ndarray
-    H_gn: Optional[np.ndarray] = None
-    Lambda: Optional[np.ndarray] = None
-    H_exact: Optional[np.ndarray] = None
-    jac_vecP: Optional[np.ndarray] = None
-    h_exact_asym: Optional[float] = None
+    H_gn: np.ndarray
+    Lambda: np.ndarray
+    H_exact: np.ndarray
+    jac_vecP: np.ndarray
+    h_exact_asym: float
 
 
 class Evaluation:
@@ -196,7 +210,8 @@ def gn_hessian(prob: LqrProblem, gain: Gain) -> np.ndarray:
 
 
 def _jacobian_from(ev: Evaluation) -> np.ndarray:
-    """Solve the m*n Stein equations dP_i as one stack; i = c*m + r is K[r, c].
+    """Solve the m*n Stein equations dP_i as one stack, shape (m*n, n, n);
+    slice i = c*m + r is dP/dK[r, c].
 
     The Stein operator's eigenvalues are 1 - mu_i mu_j over the eigenvalues
     mu of sqrt(gamma) * Acl (the evaluation's own); a gain with
@@ -216,9 +231,13 @@ def _jacobian_from(ev: Evaluation) -> np.ndarray:
     rows = np.arange(n)
     C[rows, :, rows, :] = S
     C = C + C.transpose(0, 1, 3, 2)
-    dP = _stein_solve(Acl.T, C.reshape(n * m, n, n), ev.prob.gamma)
+    return _stein_solve(Acl.T, C.reshape(n * m, n, n), ev.prob.gamma)
+
+
+def _vecs(dP: np.ndarray) -> np.ndarray:
+    """The (n^2, m*n) Jacobian whose column i is vec(dP_i)."""
     # each dP_i is symmetric, so its row-major ravel is vec(dP_i)
-    return dP.reshape(n * m, n * n).T
+    return dP.reshape(len(dP), -1).T
 
 
 def jacobian_vecP(prob: LqrProblem, gain: Gain) -> np.ndarray:
@@ -230,29 +249,32 @@ def jacobian_vecP(prob: LqrProblem, gain: Gain) -> np.ndarray:
     matrix K_nn. Vanishes at the optimal gain, where S = 0. Raises SingularT
     for a gain numerically on the stabilizing boundary.
     """
-    return _jacobian_from(Evaluation(prob, gain))
+    return _vecs(_jacobian_from(Evaluation(prob, gain)))
 
 
-def _lambda_from(ev: Evaluation, jac: np.ndarray) -> np.ndarray:
-    Sigma, Acl, B = ev.Sigma, ev.Acl, ev.prob.B
-    term1 = kron(Sigma @ Acl.T, B.T) @ jac
-    term2 = jac.T @ kron(Acl @ Sigma, B)
-    return -2.0 * (term1 + term2)
+def _lambda_from(ev: Evaluation, dP: np.ndarray) -> np.ndarray:
+    """Lambda from the (m*n, n, n) stack of dP_i: -2 (T1 + T1')."""
+    X = ev.prob.B.T @ dP @ (ev.Acl @ ev.Sigma)
+    # row i of T1t is vec(B' dP_i Acl Sigma)', i.e. column i of T1
+    T1t = X.swapaxes(1, 2).reshape(len(dP), -1)
+    return -2.0 * (T1t + T1t.T)
 
 
 def lambda_term(prob: LqrProblem, gain: Gain, jac: np.ndarray) -> np.ndarray:
     """Distribution-sensitivity part of the Hessian, from a precomputed jac.
 
-    Lambda = -2 [ (Sigma Acl' (x) B') jac + jac' (Acl Sigma (x) B) ],
-    symmetric by construction, zero whenever B = 0 or jac = 0 (at the
-    optimum). ``jac`` must come from :func:`jacobian_vecP` at the same
-    problem and gain.
+    Lambda = -2 [ (Sigma Acl' (x) B') jac + jac' (Acl Sigma (x) B) ]
+           = -2 (T1 + T1'),  column i of T1 = vec(B' dP_i Acl Sigma),
+    where column i of jac is vec(dP_i). Exactly symmetric as computed; zero
+    whenever B = 0 or jac = 0 (at the optimum). ``jac`` must come from
+    :func:`jacobian_vecP` at the same problem and gain.
     """
-    mn = prob.m * prob.n
-    if jac.shape != (prob.n * prob.n, mn):
-        raise ValueError(
-            f"jac shape {jac.shape} does not match ({prob.n * prob.n}, {mn})")
-    return _lambda_from(Evaluation(prob, gain), jac)
+    n, mn = prob.n, prob.m * prob.n
+    if jac.shape != (n * n, mn):
+        raise ValueError(f"jac shape {jac.shape} does not match ({n * n}, {mn})")
+    # column i of jac is vec(dP_i): unvec each one
+    dP = jac.T.reshape(mn, n, n).swapaxes(1, 2)
+    return _lambda_from(Evaluation(prob, gain), dP)
 
 
 def exact_hessian(prob: LqrProblem, gain: Gain,
@@ -261,17 +283,18 @@ def exact_hessian(prob: LqrProblem, gain: Gain,
 
     H_exact = H_gn + gamma * Lambda, symmetrized after assembly; the
     pre-symmetrization relative asymmetry is recorded in ``h_exact_asym``
-    (it is at round-off level by construction). An ``evaluation`` of this
-    same problem and gain lends its already computed pieces.
+    (zero, since H_gn and Lambda are each exactly symmetric as computed).
+    An ``evaluation`` of this same problem and gain lends its already
+    computed pieces.
     """
     ev = evaluation if evaluation is not None else Evaluation(prob, gain)
     if ev.prob is not prob or ev.gain is not gain:
         raise ValueError("evaluation was built for a different problem or gain")
-    jac = _jacobian_from(ev)
-    Lam = _lambda_from(ev, jac)
+    dP = _jacobian_from(ev)
+    Lam = _lambda_from(ev, dP)
     H_raw = ev.H_gn + prob.gamma * Lam
     denom = max(np.linalg.norm(H_raw, "fro"), np.finfo(float).tiny)
     asym = float(np.linalg.norm(H_raw - H_raw.T, "fro") / denom)
     H_exact = (H_raw + H_raw.T) / 2.0
     return CurvatureReport(grad=ev.grad, S=ev.S, H_gn=ev.H_gn, Lambda=Lam,
-                           H_exact=H_exact, jac_vecP=jac, h_exact_asym=asym)
+                           H_exact=H_exact, jac_vecP=_vecs(dP), h_exact_asym=asym)

@@ -136,9 +136,13 @@ def _method_from(node, idx: int) -> OptimizerConfig:
 
 def _grid_range(node, path: str) -> tuple[float, float, int]:
     try:
-        lo, hi, steps = float(node[0]), float(node[1]), int(node[2])
+        lo, hi, raw = float(node[0]), float(node[1]), node[2]
+        steps = int(raw)
     except (TypeError, ValueError, OverflowError, IndexError, KeyError):
         raise ConfigError(f"{path}: expected [lo, hi, steps]") from None
+    # int() would truncate 2.7 to 2 and true to 1
+    if isinstance(raw, bool) or steps != raw:
+        raise ConfigError(f"{path}: steps must be an integer, got {raw!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError(f"{path}: bounds must be finite")
     if steps < 1:

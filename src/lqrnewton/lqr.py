@@ -262,8 +262,10 @@ def _sq_norm(X: np.ndarray) -> np.ndarray:
 
 
 def _within_bound(R: np.ndarray, X: np.ndarray) -> bool:
-    bound = _RESID_TOL * (1.0 + np.sqrt(_sq_norm(X)))
-    return bool((np.sqrt(_sq_norm(R)) <= bound).all())
+    # an X whose squared norm overflows would pass as inf <= inf
+    sq = _sq_norm(X)
+    bound = _RESID_TOL * (1.0 + np.sqrt(sq))
+    return bool((np.isfinite(sq) & (np.sqrt(_sq_norm(R)) <= bound)).all())
 
 
 def _doubling(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:

@@ -3,9 +3,10 @@ preconditioners (identity, Gauss-Newton, exact Newton), Armijo backtracking,
 and stabilization safeguards.
 
 The update is theta <- theta - alpha * Pinv grad with Pinv the inverse of
-the chosen curvature matrix. Trial gains that leave the gamma-stabilizing
-set (where the cost is undefined) are rejected exactly like Armijo
-failures, so no recorded iterate is ever non-stabilizing.
+the chosen curvature matrix; for Gauss-Newton, Pinv grad is vec(E^-1 S)
+(Hewer's step), so H_gn is never formed. Trial gains that leave the
+gamma-stabilizing set (where the cost is undefined) are rejected exactly
+like Armijo failures, so no recorded iterate is ever non-stabilizing.
 
 A single run is sequential; separate runs share no state and may execute
 concurrently.
@@ -21,7 +22,8 @@ import scipy.linalg
 
 from .errors import DirectionError, LineSearchFailure, NoConvergence, SeedNotStabilizing
 from .lqr import Gain, LqrProblem, optimal_gain
-from .derivatives import CurvatureReport, Evaluation, Trials, exact_hessian
+from .derivatives import Evaluation, Trials, exact_hessian
+from .linalg import vec
 
 METHODS = ("first_order", "gauss_newton", "newton")
 STEP_MODES = ("fixed", "backtracking")
@@ -112,46 +114,44 @@ class RunRecord:
         return np.array([getattr(s, name) for s in self.steps])
 
 
-def search_direction(method: str, report: CurvatureReport,
-                     damping: float = 1e-8) -> np.ndarray:
-    """Descent direction for the given preconditioner.
+def _damped_newton(H: np.ndarray, g: np.ndarray, damping: float) -> np.ndarray:
+    """The Levenberg-shifted step -(H + lambda I)^-1 g of search_direction."""
+    shifts = [0.0]
+    if damping > 0:
+        shifts += [damping * 2.0 ** j for j in range(60)]
+    for lam in shifts:
+        try:
+            c = scipy.linalg.cho_factor(H + lam * np.eye(H.shape[0]))
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise DirectionError(
+            "no positive-definite shift of the exact Hessian found in 60 doublings")
+    return -scipy.linalg.cho_solve(c, g)
 
-    first_order: -grad. gauss_newton: -H_gn^-1 grad (H_gn must be PD).
-    newton: -(H_exact + lambda I)^-1 grad where lambda is the smallest value
-    in {0, damping * 2^j, j < 60} whose shift factorizes (Cholesky). Raises
-    DirectionError when no shift works or the result is not a descent
-    direction.
+
+def search_direction(method: str, ev: Evaluation, damping: float = 1e-8) -> np.ndarray:
+    """Descent direction for the given preconditioner at an iterate's
+    Evaluation.
+
+    first_order: -grad. gauss_newton: Hewer's step -vec(E^-1 S), which is
+    -H_gn^-1 grad wherever Sigma is invertible and is defined wherever E
+    is. newton: -(H_exact + lambda I)^-1 grad with H_exact from
+    :func:`exact_hessian` and lambda the smallest value in
+    {0, damping * 2^j, j < 60} whose shift factorizes (Cholesky). A zero
+    gradient gives a zero direction. Raises DirectionError when no shift
+    works or the result is not a descent direction.
     """
-    g = report.grad
+    g = ev.grad
     if not np.any(g):
         return np.zeros_like(g)
     if method == "first_order":
         return -g
     if method == "gauss_newton":
-        if report.H_gn is None:
-            raise ValueError("report lacks H_gn; build it with gn_hessian or exact_hessian")
-        try:
-            c = scipy.linalg.cho_factor(report.H_gn)
-        except np.linalg.LinAlgError:
-            raise DirectionError("Gauss-Newton curvature is not positive definite") from None
-        d = -scipy.linalg.cho_solve(c, g)
+        d = -vec(np.linalg.solve(ev.E, ev.S))
     elif method == "newton":
-        if report.H_exact is None:
-            raise ValueError("report lacks H_exact; build it with exact_hessian")
-        H = report.H_exact
-        shifts = [0.0]
-        if damping > 0:
-            shifts += [damping * 2.0 ** j for j in range(60)]
-        for lam in shifts:
-            try:
-                c = scipy.linalg.cho_factor(H + lam * np.eye(H.shape[0]))
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            raise DirectionError(
-                "no positive-definite shift of the exact Hessian found in 60 doublings")
-        d = -scipy.linalg.cho_solve(c, g)
+        d = _damped_newton(exact_hessian(ev.prob, ev.gain, ev).H_exact, g, damping)
     else:
         raise ValueError(f"unknown method {method!r}")
     if float(d @ g) >= 0.0:
@@ -270,13 +270,8 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
             rec.converged = grad_norm <= cfg.grad_tol
             break
 
-        if cfg.method == "newton":
-            report = exact_hessian(prob, gain, ev)
-        else:
-            H_gn = ev.H_gn if cfg.method == "gauss_newton" else None
-            report = CurvatureReport(grad=ev.grad, S=ev.S, H_gn=H_gn)
         try:
-            direction = search_direction(cfg.method, report, cfg.newton_damping)
+            direction = search_direction(cfg.method, ev, cfg.newton_damping)
         except DirectionError as exc:
             record(0.0, 0)
             rec.flag = "direction_error"

@@ -75,9 +75,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize("theta1, message", [
         ([0.0, 1.0, -1], "steps"), ([0.0, 1.0, 0], "steps"),
         ([0.0, float("inf"), 3], "finite"), ([float("nan"), 1.0, 3], "finite"),
-        ([0.0, 1.0, float("inf")], "expected"), ([0.0, 1.0], "expected")],
+        ([0.0, 1.0, float("inf")], "expected"), ([0.0, 1.0], "expected"),
+        ([0.0, 1.0, 2.7], "integer"), ([0.0, 1.0, True], "integer")],
         ids=["negative-steps", "zero-steps", "infinite-bound", "nan-bound",
-             "infinite-steps", "missing-steps"])
+             "infinite-steps", "missing-steps", "fractional-steps", "bool-steps"])
     def test_landscape_ranges_validated(self, theta1, message):
         doc = {"problem": {"generator": "pendulum"},
                "landscape": {"theta1": theta1, "theta2": [0.0, 1.0, 3]}}

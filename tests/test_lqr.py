@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lqrnewton import lqr
-from lqrnewton import (Gain, LqrProblem, action_value_at, closed_loop,
+from lqrnewton import (Evaluation, Gain, LqrProblem, action_value_at, closed_loop,
                        is_gamma_stabilizing, optimal_gain, pendulum_continuous,
                        performance, policy_gradient, solve_sigma, solve_value,
                        value_at)
@@ -275,6 +275,25 @@ class TestSteinSolve:
             return
         resid = np.linalg.norm(M + 0.9 * G @ X @ G.T - X, "fro")
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(X, "fro"))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_doubling_refuses_a_solution_whose_norm_overflows(self):
+        # ||X||_F is far beyond 1e154, so the squared norms in the residual
+        # gate overflow; inf <= inf must not pass for converged
+        rng = np.random.default_rng(0)
+        n, gamma = 48, 0.9
+        T = 0.5 * np.triu(rng.standard_normal((n, n)), 1) + np.diag(rng.uniform(-1, 1, n))
+        V = rng.standard_normal((n, n))
+        G = V @ T @ np.linalg.inv(V)
+        G *= (1.0 - 1e-5) / (np.sqrt(gamma) * np.max(np.abs(np.linalg.eigvals(G))))
+        p = LqrProblem(A=G, B=np.zeros((n, 1)), Q=np.eye(n), R=[[1.0]], gamma=gamma,
+                       Sigma_w=np.eye(n), Sigma_0=np.eye(n))
+        gain = Gain.zero(p)
+        ev = Evaluation(p, gain)
+        assert ev.stabilizing
+        for solve in (solve_value, solve_sigma, lambda p, g: ev.J):
+            with pytest.raises(NoConvergence):
+                solve(p, gain)
 
 
 class TestPerformance:

@@ -2,18 +2,19 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lqrnewton import lqr
-from lqrnewton import (CurvatureReport, Evaluation, Gain, OptimizerConfig,
-                       backtracking_search, exact_hessian, initial_gain,
-                       is_gamma_stabilizing, make_pendulum, make_shear_building,
-                       optimal_gain, performance, policy_gradient, run,
-                       search_direction)
+from lqrnewton import (Evaluation, Gain, LqrProblem, OptimizerConfig,
+                       backtracking_search, initial_gain, is_gamma_stabilizing,
+                       make_pendulum, make_shear_building, optimal_gain,
+                       performance, policy_gradient, run, search_direction)
 from lqrnewton.errors import (DirectionError, LineSearchFailure, NoConvergence,
                               SeedNotStabilizing)
-from lqrnewton.optimize import _backtrack
+from lqrnewton.optimize import _backtrack, _damped_newton
 
-from conftest import GRAD_05, HEXACT_05, count_calls, make_instances, stack_slices
+from conftest import (GRAD_05, HEXACT_05, count_calls, make_instances, rel_err,
+                      stack_slices)
 
 
 @pytest.fixture(scope="module")
@@ -24,61 +25,91 @@ def pendulum():
     return prob, k_star, seed
 
 
+@pytest.fixture(scope="module")
+def gn_cases():
+    cases = make_instances(20)
+    for prob in (make_pendulum(), make_shear_building(floors=3, seed=7)):
+        cases.append((prob, initial_gain(prob)))
+    return cases
+
+
 class TestSearchDirection:
     def test_zero_gradient_gives_zero_direction(self):
-        rep = CurvatureReport(grad=np.zeros(3), S=np.zeros((1, 3)),
-                              H_gn=np.eye(3), H_exact=np.eye(3))
+        # B = 0 and K = 0 make S, and so grad, exactly zero
+        prob = LqrProblem(A=np.diag([0.5, 0.2]), B=np.zeros((2, 1)), Q=np.eye(2),
+                          R=[[1.0]], gamma=0.9, Sigma_w=0.1 * np.eye(2),
+                          Sigma_0=np.eye(2))
+        ev = Evaluation(prob, Gain.zero(prob))
+        assert not np.any(ev.grad)
         for method in ("first_order", "gauss_newton", "newton"):
-            np.testing.assert_array_equal(search_direction(method, rep), np.zeros(3))
+            np.testing.assert_array_equal(search_direction(method, ev), np.zeros(2))
 
-    def test_first_order_is_negative_gradient(self):
-        g = np.array([1.0, -2.0])
-        rep = CurvatureReport(grad=g, S=None)
-        np.testing.assert_array_equal(search_direction("first_order", rep), -g)
+    def test_first_order_is_negative_gradient(self, pendulum):
+        prob, _, seed = pendulum
+        ev = Evaluation(prob, seed)
+        np.testing.assert_array_equal(search_direction("first_order", ev), -ev.grad)
 
     def test_scaled_identity_preconditioner(self):
-        g = np.array([4.0, -6.0])
-        rep = CurvatureReport(grad=g, S=None, H_gn=2.0 * np.eye(2))
-        np.testing.assert_allclose(search_direction("gauss_newton", rep), -g / 2.0)
+        # Acl = A - B K = 0 gives Sigma = 1.9 I and P = 1.25 I, so
+        # H_gn = 2 * 1.9 * (1 + 0.9 * 1.25) I
+        prob = LqrProblem(A=0.5 * np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2),
+                          gamma=0.9, Sigma_w=0.1 * np.eye(2), Sigma_0=np.eye(2))
+        ev = Evaluation(prob, Gain(0.5 * np.eye(2)))
+        c = 2.0 * 1.9 * 2.125
+        np.testing.assert_allclose(ev.H_gn, c * np.eye(4), rtol=1e-14)
+        np.testing.assert_allclose(search_direction("gauss_newton", ev), -ev.grad / c,
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("case", range(22))
+    def test_gauss_newton_equals_the_cholesky_solve(self, gn_cases, case):
+        # -vec(E^-1 S) against -H_gn^-1 grad on make_instances(20), the
+        # pendulum and a 3-floor building
+        prob, gain = gn_cases[case]
+        ev = Evaluation(prob, gain)
+        want = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(ev.H_gn), ev.grad)
+        assert rel_err(search_direction("gauss_newton", ev), want) <= 1e-12
 
     def test_scalar_newton_step(self, scalar_prob, scalar_gain):
-        rep = exact_hessian(scalar_prob, scalar_gain)
-        d = search_direction("newton", rep)
+        d = search_direction("newton", Evaluation(scalar_prob, scalar_gain))
         assert d[0] == pytest.approx(-GRAD_05 / HEXACT_05, rel=1e-12)
         assert d[0] == pytest.approx(0.07587412587412587, rel=1e-10)
 
     def test_indefinite_hessian_gets_shifted(self):
-        rep = CurvatureReport(grad=np.array([1.0]), S=None,
-                              H_exact=np.array([[-1.0]]))
-        d = search_direction("newton", rep, damping=1e-8)
+        d = _damped_newton(np.array([[-1.0]]), np.array([1.0]), damping=1e-8)
         assert d[0] < 0  # still a descent direction after the shift
 
     def test_direction_error_when_shift_exhausted(self):
-        rep = CurvatureReport(grad=np.array([1.0]), S=None,
-                              H_exact=np.array([[-1e12]]))
         with pytest.raises(DirectionError):
-            search_direction("newton", rep, damping=1e-8)
+            _damped_newton(np.array([[-1e12]]), np.array([1.0]), damping=1e-8)
 
-    def test_gauss_newton_requires_pd(self):
-        rep = CurvatureReport(grad=np.array([1.0]), S=None,
-                              H_gn=np.array([[-1.0]]))
-        with pytest.raises(DirectionError):
-            search_direction("gauss_newton", rep)
-
-    def test_missing_field_is_an_error(self):
-        rep = CurvatureReport(grad=np.array([1.0]), S=None)
-        with pytest.raises(ValueError):
-            search_direction("gauss_newton", rep)
+    def test_gauss_newton_on_singular_sigma(self):
+        # the second state starts at zero and is never driven, so Sigma and
+        # H_gn = 2 Sigma (x) E are singular; Hewer's step needs only E
+        prob = LqrProblem(A=np.diag([0.5, 0.8]), B=[[1.0], [0.0]], Q=np.eye(2),
+                          R=[[1.0]], gamma=0.9, Sigma_w=np.zeros((2, 2)),
+                          Sigma_0=np.diag([1.0, 0.0]))
+        gain = Gain([[0.1, 0.2]])
+        ev = Evaluation(prob, gain)
+        assert ev.Sigma[1, 1] == 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(ev.H_gn)
+        d = search_direction("gauss_newton", ev)
+        assert float(d @ ev.grad) == pytest.approx(-0.1195, abs=1e-4)
+        cfg = OptimizerConfig(method="gauss_newton", step_mode="fixed", alpha=1.0,
+                              seed_gain=gain, grad_tol=1e-14, max_iter=20)
+        rec = run(prob, cfg)
+        assert rec.converged and rec.iterations == 4
+        assert rec.steps[-1].gain_error <= 1e-12
 
 
 class TestBacktracking:
     def test_easy_descent_takes_full_step(self, scalar_prob, scalar_gain):
         cfg = OptimizerConfig(method="newton", alpha=1.0)
-        rep = exact_hessian(scalar_prob, scalar_gain)
-        d = search_direction("newton", rep)
+        ev = Evaluation(scalar_prob, scalar_gain)
+        d = search_direction("newton", ev)
         J0 = performance(scalar_prob, scalar_gain)
         alpha, new_gain = backtracking_search(scalar_prob, scalar_gain, d, J0,
-                                              rep.grad, cfg)
+                                              ev.grad, cfg)
         assert alpha == 1.0
         assert performance(scalar_prob, new_gain) < J0
 
@@ -283,9 +314,7 @@ def _sequential_backtrack(prob, gain, direction, J0, grad, cfg):
 
 def _search_start(prob, method):
     ev = Evaluation(prob, initial_gain(prob))
-    rep = exact_hessian(prob, ev.gain, ev) if method == "newton" else \
-        CurvatureReport(grad=ev.grad, S=ev.S)
-    return ev, search_direction(method, rep)
+    return ev, search_direction(method, ev)
 
 
 class TestLadder:
