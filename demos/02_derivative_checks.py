@@ -30,7 +30,7 @@ rep = exact_hessian(prob, gain)
 fdh = fd_hessian(prob, gain)
 print(f"exact Hessian vs finite differences: "
       f"{np.linalg.norm(rep.H_exact - fdh, 'fro') / np.linalg.norm(fdh, 'fro'):.2e} relative")
-print(f"Hessian asymmetry before symmetrization: {rep.h_exact_asym:.2e}\n")
+print(f"max |H_exact - H_exact'|: {np.max(np.abs(rep.H_exact - rep.H_exact.T)):.2e}\n")
 
 jac = jacobian_vecP(prob, gain)
 lam_direct = lambda_term(prob, gain, jac)

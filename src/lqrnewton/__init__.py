@@ -10,14 +10,12 @@ from .errors import (ConfigError, DimensionUnsupported, DirectionError,
                      LineSearchFailure, LqrError, NoConvergence,
                      NotStabilizing, PerturbationLeftStabilizingSet,
                      SeedNotStabilizing, SingularT)
-from .linalg import (commutation_matrix, expm, kron, psd_sqrt,
-                     spectral_radius, unvec, vec)
+from .linalg import expm, kron, psd_sqrt, spectral_radius, unvec, vec
 from .lqr import (Gain, LqrProblem, ValueSolution, action_value_at,
                   closed_loop, is_gamma_stabilizing, optimal_gain,
                   performance, solve_sigma, solve_value, value_at)
-from .derivatives import (CurvatureReport, Evaluation, exact_hessian,
-                          gn_hessian, jacobian_vecP, lambda_term,
-                          policy_gradient)
+from .derivatives import (Evaluation, exact_hessian, gn_hessian,
+                          jacobian_vecP, lambda_term, policy_gradient)
 from .optimize import (IterateRecord, OptimizerConfig, RunRecord,
                        backtracking_search, run, search_direction)
 from .oracles import (McEstimate, ScalarReport, discounted_moment_series,
@@ -36,13 +34,12 @@ __all__ = [
     "ConfigError", "DimensionUnsupported", "DirectionError",
     "LineSearchFailure", "LqrError", "NoConvergence", "NotStabilizing",
     "PerturbationLeftStabilizingSet", "SeedNotStabilizing", "SingularT",
-    "commutation_matrix", "expm", "kron", "psd_sqrt", "spectral_radius",
-    "unvec", "vec",
+    "expm", "kron", "psd_sqrt", "spectral_radius", "unvec", "vec",
     "Gain", "LqrProblem", "ValueSolution", "action_value_at", "closed_loop",
     "is_gamma_stabilizing", "optimal_gain", "performance", "solve_sigma",
     "solve_value", "value_at",
-    "CurvatureReport", "Evaluation", "exact_hessian", "gn_hessian",
-    "jacobian_vecP", "lambda_term", "policy_gradient",
+    "Evaluation", "exact_hessian", "gn_hessian", "jacobian_vecP",
+    "lambda_term", "policy_gradient",
     "IterateRecord", "OptimizerConfig", "RunRecord", "backtracking_search",
     "run", "search_direction",
     "McEstimate", "ScalarReport", "discounted_moment_series", "fd_gradient",

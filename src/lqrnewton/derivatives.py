@@ -31,15 +31,18 @@ transpose of the first, so
 
     Lambda = -2 (T1 + T1'),  T1 = [vec(B' dP_1 Acl Sigma) ... vec(B' dP_mn Acl Sigma)]
 
-The functions here are pure and thread-safe; an :class:`Evaluation` caches,
-so give each thread its own. The columns of jac are independent of one
-another (column i only needs the i-th right-hand side); they are solved as
-one stack by the Stein solver that gives P.
+Every piece above is a cached property of :class:`Evaluation`, the one
+object that holds a gain's pieces; the functions here read them from a
+fresh Evaluation, and :func:`exact_hessian` returns the Evaluation itself.
+Hewer's step E^-1 S serves both the Gauss-Newton direction and the policy
+iteration of :func:`lqrnewton.lqr.optimal_gain`. The functions are pure and
+thread-safe; an Evaluation caches, so give each thread its own. The dP_i
+are independent of one another (dP_i only needs the i-th right-hand side);
+they are solved as one stack by the Stein solver that gives P.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -54,36 +57,18 @@ from .lqr import (Gain, LqrProblem, ValueSolution, _cost_of, _not_stabilizing,
 _COND_LIMIT = 1e14
 
 
-@dataclass
-class CurvatureReport:
-    """The gradient, both Hessians and their ingredients at one gain, as
-    assembled by :func:`exact_hessian`.
-
-    H_exact equals H_gn + gamma * Lambda exactly as computed, and
-    ``h_exact_asym`` records the relative asymmetry of H_exact before its
-    final symmetrization. ``jac_vecP`` is a view of the Jacobian's stack of
-    dP_i matrices.
-    """
-
-    grad: np.ndarray
-    S: np.ndarray
-    H_gn: np.ndarray
-    Lambda: np.ndarray
-    H_exact: np.ndarray
-    jac_vecP: np.ndarray
-    h_exact_asym: float
-
-
 class Evaluation:
     """Every closed-form piece at one gain, each computed at most once.
 
     Acl = A - B K is formed on construction; the eigenvalues of
     sqrt(gamma) * Acl, the margin, P and q, Sigma, J, S, E = R + gamma B'PB,
-    grad and H_gn are computed on first read and kept. That one eigenvalue
-    solve is the gain's only stability check: P and Sigma are solved without
+    grad, H_gn, Hewer's step E^-1 S, the dP stack and jac_vecP, Lambda and
+    H_exact are computed on first read and kept. That one eigenvalue solve
+    is the gain's only stability check: P and Sigma are solved without
     another. Reading P or Sigma at a non-stabilizing gain raises
-    NotStabilizing. Reads return the kept arrays themselves; do not modify
-    them in place.
+    NotStabilizing, and reading dP at a gain numerically on the stabilizing
+    boundary raises SingularT. Reads return the kept arrays themselves; do
+    not modify them in place.
     """
 
     def __init__(self, prob: LqrProblem, gain: Gain):
@@ -144,6 +129,61 @@ class Evaluation:
     @cached_property
     def H_gn(self) -> np.ndarray:
         return 2.0 * kron(self.Sigma, self.E)
+
+    @cached_property
+    def hewer_step(self) -> np.ndarray:
+        """E^-1 S, so that K - E^-1 S is Hewer's policy-improvement step.
+
+        -vec(E^-1 S) = -H_gn^-1 grad wherever Sigma is invertible; unlike
+        H_gn it needs only P, not Sigma.
+        """
+        return np.linalg.solve(self.E, self.S)
+
+    @cached_property
+    def dP(self) -> np.ndarray:
+        """The m*n Stein equations dP_i solved as one stack, shape
+        (m*n, n, n); slice i = c*m + r is dP/dK[r, c].
+
+        The Stein operator's eigenvalues are 1 - mu_i mu_j over the
+        eigenvalues mu of sqrt(gamma) * Acl; a gain with
+        1 / min |1 - mu_i mu_j| above _COND_LIMIT is numerically on the
+        stabilizing boundary: SingularT.
+        """
+        Acl, S, mu = self.Acl, self.S, self.eigvals
+        n, m = Acl.shape[0], S.shape[0]
+        gap = np.min(np.abs(1.0 - np.multiply.outer(mu, mu)))
+        cond = 1.0 / max(gap, 1e-300)
+        if cond > _COND_LIMIT:
+            raise SingularT(
+                f"Stein operator condition ~{cond:.2e} exceeds {_COND_LIMIT:.0e}; "
+                f"gain is numerically on the stabilizing boundary")
+        # C[c, r] = E_i'S (row c is S[r]) plus its transpose, i = c*m + r
+        C = np.zeros((n, m, n, n))
+        rows = np.arange(n)
+        C[rows, :, rows, :] = S
+        C = C + C.transpose(0, 1, 3, 2)
+        return _stein_solve(Acl.T, C.reshape(n * m, n, n), self.prob.gamma)
+
+    @cached_property
+    def jac_vecP(self) -> np.ndarray:
+        """The (n^2, m*n) Jacobian of vec(P); column i is vec(dP_i), a view
+        of the dP stack."""
+        # each dP_i is symmetric, so its row-major ravel is vec(dP_i)
+        return self.dP.reshape(len(self.dP), -1).T
+
+    @cached_property
+    def Lambda(self) -> np.ndarray:
+        """-2 (T1 + T1') from the dP stack; exactly symmetric as computed."""
+        X = self.prob.B.T @ self.dP @ (self.Acl @ self.Sigma)
+        # row i of T1t is vec(B' dP_i Acl Sigma)', i.e. column i of T1
+        T1t = X.swapaxes(1, 2).reshape(len(self.dP), -1)
+        return -2.0 * (T1t + T1t.T)
+
+    @cached_property
+    def H_exact(self) -> np.ndarray:
+        """H_gn + gamma * Lambda; exactly symmetric as computed, since both
+        terms are."""
+        return self.H_gn + self.prob.gamma * self.Lambda
 
 
 class Trials:
@@ -209,55 +249,16 @@ def gn_hessian(prob: LqrProblem, gain: Gain) -> np.ndarray:
     return Evaluation(prob, gain).H_gn
 
 
-def _jacobian_from(ev: Evaluation) -> np.ndarray:
-    """Solve the m*n Stein equations dP_i as one stack, shape (m*n, n, n);
-    slice i = c*m + r is dP/dK[r, c].
-
-    The Stein operator's eigenvalues are 1 - mu_i mu_j over the eigenvalues
-    mu of sqrt(gamma) * Acl (the evaluation's own); a gain with
-    1 / min |1 - mu_i mu_j| above _COND_LIMIT is numerically on the
-    stabilizing boundary: SingularT.
-    """
-    Acl, S, mu = ev.Acl, ev.S, ev.eigvals
-    n, m = Acl.shape[0], S.shape[0]
-    gap = np.min(np.abs(1.0 - np.multiply.outer(mu, mu)))
-    cond = 1.0 / max(gap, 1e-300)
-    if cond > _COND_LIMIT:
-        raise SingularT(
-            f"Stein operator condition ~{cond:.2e} exceeds {_COND_LIMIT:.0e}; "
-            f"gain is numerically on the stabilizing boundary")
-    # C[c, r] = E_i'S (row c is S[r]) plus its transpose, i = c*m + r
-    C = np.zeros((n, m, n, n))
-    rows = np.arange(n)
-    C[rows, :, rows, :] = S
-    C = C + C.transpose(0, 1, 3, 2)
-    return _stein_solve(Acl.T, C.reshape(n * m, n, n), ev.prob.gamma)
-
-
-def _vecs(dP: np.ndarray) -> np.ndarray:
-    """The (n^2, m*n) Jacobian whose column i is vec(dP_i)."""
-    # each dP_i is symmetric, so its row-major ravel is vec(dP_i)
-    return dP.reshape(len(dP), -1).T
-
-
 def jacobian_vecP(prob: LqrProblem, gain: Gain) -> np.ndarray:
     """Jacobian of vec(P) with respect to theta, shape (n^2, m*n).
 
     Column i is vec(dP/dtheta_i), which solves the Stein equation
     dP = E_i'S + S'E_i + gamma Acl' dP Acl in the closed loop of P. Every
-    column is the vec of a symmetric matrix, hence fixed by the commutation
-    matrix K_nn. Vanishes at the optimal gain, where S = 0. Raises SingularT
-    for a gain numerically on the stabilizing boundary.
+    column is the vec of a symmetric matrix. Vanishes at the optimal gain,
+    where S = 0. Raises SingularT for a gain numerically on the stabilizing
+    boundary.
     """
-    return _vecs(_jacobian_from(Evaluation(prob, gain)))
-
-
-def _lambda_from(ev: Evaluation, dP: np.ndarray) -> np.ndarray:
-    """Lambda from the (m*n, n, n) stack of dP_i: -2 (T1 + T1')."""
-    X = ev.prob.B.T @ dP @ (ev.Acl @ ev.Sigma)
-    # row i of T1t is vec(B' dP_i Acl Sigma)', i.e. column i of T1
-    T1t = X.swapaxes(1, 2).reshape(len(dP), -1)
-    return -2.0 * (T1t + T1t.T)
+    return Evaluation(prob, gain).jac_vecP
 
 
 def lambda_term(prob: LqrProblem, gain: Gain, jac: np.ndarray) -> np.ndarray:
@@ -272,29 +273,23 @@ def lambda_term(prob: LqrProblem, gain: Gain, jac: np.ndarray) -> np.ndarray:
     n, mn = prob.n, prob.m * prob.n
     if jac.shape != (n * n, mn):
         raise ValueError(f"jac shape {jac.shape} does not match ({n * n}, {mn})")
+    ev = Evaluation(prob, gain)
     # column i of jac is vec(dP_i): unvec each one
-    dP = jac.T.reshape(mn, n, n).swapaxes(1, 2)
-    return _lambda_from(Evaluation(prob, gain), dP)
+    ev.dP = jac.T.reshape(mn, n, n).swapaxes(1, 2)
+    return ev.Lambda
 
 
 def exact_hessian(prob: LqrProblem, gain: Gain,
-                  evaluation: Optional[Evaluation] = None) -> CurvatureReport:
-    """Assemble the gradient, both Hessians, and their ingredients at a gain.
+                  evaluation: Optional[Evaluation] = None) -> Evaluation:
+    """The Evaluation at a gain with its exact Hessian assembled.
 
-    H_exact = H_gn + gamma * Lambda, symmetrized after assembly; the
-    pre-symmetrization relative asymmetry is recorded in ``h_exact_asym``
-    (zero, since H_gn and Lambda are each exactly symmetric as computed).
-    An ``evaluation`` of this same problem and gain lends its already
-    computed pieces.
+    H_exact = H_gn + gamma * Lambda is exactly symmetric as computed; the
+    gradient, S, H_gn, jac_vecP and Lambda are read from the same returned
+    Evaluation. An ``evaluation`` of this same problem and gain lends its
+    already computed pieces and is the one returned.
     """
     ev = evaluation if evaluation is not None else Evaluation(prob, gain)
     if ev.prob is not prob or ev.gain is not gain:
         raise ValueError("evaluation was built for a different problem or gain")
-    dP = _jacobian_from(ev)
-    Lam = _lambda_from(ev, dP)
-    H_raw = ev.H_gn + prob.gamma * Lam
-    denom = max(np.linalg.norm(H_raw, "fro"), np.finfo(float).tiny)
-    asym = float(np.linalg.norm(H_raw - H_raw.T, "fro") / denom)
-    H_exact = (H_raw + H_raw.T) / 2.0
-    return CurvatureReport(grad=ev.grad, S=ev.S, H_gn=ev.H_gn, Lambda=Lam,
-                           H_exact=H_exact, jac_vecP=_vecs(dP), h_exact_asym=asym)
+    ev.H_exact  # assembled here, so the returned Evaluation holds it
+    return ev

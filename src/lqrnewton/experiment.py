@@ -76,6 +76,15 @@ def _matrix(node, path: str) -> np.ndarray:
     return arr
 
 
+def _gain(node, path: str, prob: LqrProblem) -> Gain:
+    K = _matrix(node, path)
+    if K.shape != (prob.m, prob.n):
+        raise ConfigError(f"{path}: expected shape ({prob.m}, {prob.n}), got {K.shape}")
+    if not np.all(np.isfinite(K)):
+        raise ConfigError(f"{path}: entries must be finite")
+    return Gain(K)
+
+
 def _problem_from(node, seed, path: str = "problem") -> LqrProblem:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -115,7 +124,7 @@ def _problem_from(node, seed, path: str = "problem") -> LqrProblem:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _method_from(node, idx: int) -> OptimizerConfig:
+def _method_from(node, idx: int, prob: LqrProblem) -> OptimizerConfig:
     path = f"methods[{idx}]"
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -127,7 +136,7 @@ def _method_from(node, idx: int) -> OptimizerConfig:
         raise ConfigError(f"{path}: unknown field(s) {', '.join(sorted(unknown))}")
     kwargs = dict(node)
     if "seed_gain" in kwargs:
-        kwargs["seed_gain"] = Gain(_matrix(kwargs["seed_gain"], f"{path}.seed_gain"))
+        kwargs["seed_gain"] = _gain(kwargs["seed_gain"], f"{path}.seed_gain", prob)
     try:
         return OptimizerConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -164,7 +173,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     methods_node = doc.get("methods", [])
     if not isinstance(methods_node, list):
         raise ConfigError("methods: expected a list")
-    methods = [_method_from(m, i) for i, m in enumerate(methods_node)]
+    methods = [_method_from(m, i, problem) for i, m in enumerate(methods_node)]
 
     labels: list[str] = []
     for cfg in methods:
@@ -190,8 +199,8 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
                   _grid_range(node["theta2"], "landscape.theta2"))
 
     out = Path(output_dir if output_dir is not None else doc.get("output_dir", "out"))
-    gain = Gain(_matrix(doc["gain"], "gain")) if "gain" in doc else None
-    seed_gain = Gain(_matrix(doc["seed_gain"], "seed_gain")) if "seed_gain" in doc else None
+    gain = _gain(doc["gain"], "gain", problem) if "gain" in doc else None
+    seed_gain = _gain(doc["seed_gain"], "seed_gain", problem) if "seed_gain" in doc else None
     return ExperimentConfig(problem=problem, methods=methods, labels=labels,
                             output_dir=out, seed=seed, emit=emit,
                             landscape_ranges=ranges, gain=gain,

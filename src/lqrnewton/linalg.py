@@ -1,5 +1,5 @@
-"""Dense matrix utilities: vectorization, Kronecker products, commutation
-matrices, spectral radius, and the matrix exponential.
+"""Dense matrix utilities: vectorization, Kronecker products, spectral
+radius, the matrix exponential and the PSD square root.
 
 Vectorization is column-major throughout the library: ``vec`` stacks the
 columns of a matrix top to bottom, and every routine that exchanges a matrix
@@ -41,22 +41,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     whenever the factor shapes conform.
     """
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def commutation_matrix(m: int, n: int) -> np.ndarray:
-    """Permutation matrix K with K @ vec(X) == vec(X.T) for every m-by-n X.
-
-    The result is orthogonal, and commutation_matrix(n, m) is its inverse.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("commutation_matrix requires m, n >= 1")
-    mn = m * n
-    K = np.zeros((mn, mn))
-    idx = np.arange(mn)
-    # position c*m + r of vec(X) holds X[r, c]; in vec(X.T) it moves to r*n + c
-    r, c = idx % m, idx // m
-    K[r * n + c, idx] = 1.0
-    return K
 
 
 def spectral_radius(x: np.ndarray) -> float:

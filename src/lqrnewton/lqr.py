@@ -1,6 +1,8 @@
 """Discounted stochastic LQR: problem container, stabilization checks,
 discounted Lyapunov solvers for the value and state-correlation matrices,
-performance evaluation, and the optimal gain via policy iteration.
+performance evaluation, and the optimal gain via policy iteration (Hewer's
+algorithm, whose step is the Gauss-Newton step of
+:class:`lqrnewton.derivatives.Evaluation` with unit step size).
 
 Conventions
 -----------
@@ -368,20 +370,14 @@ def action_value_at(prob: LqrProblem, sol: ValueSolution,
     return quad_s + cross + quad_a + sol.q
 
 
-def _policy_improve(prob: LqrProblem, P: np.ndarray) -> np.ndarray:
-    """One policy-improvement step: K = (R + g B'PB)^-1 g B'PA."""
-    g, B = prob.gamma, prob.B
-    return np.linalg.solve(prob.R + g * B.T @ P @ B, g * B.T @ P @ prob.A)
-
-
 def _policy_iteration(prob: LqrProblem, K: np.ndarray,
                       tol: float, max_iter: int) -> np.ndarray:
+    # derivatives imports this module, so Evaluation is imported at call time
+    from .derivatives import Evaluation
     for _ in range(max_iter):
-        P, _ = solve_value(prob, Gain(K))
-        K_new = _policy_improve(prob, P)
-        delta = np.linalg.norm(K_new - K, "fro")
-        K = K_new
-        if delta <= tol * (1.0 + np.linalg.norm(K, "fro")):
+        step = Evaluation(prob, Gain(K)).hewer_step
+        K = K - step
+        if np.linalg.norm(step, "fro") <= tol * (1.0 + np.linalg.norm(K, "fro")):
             return K
     raise NoConvergence(
         f"policy iteration did not converge in {max_iter} iterations "
@@ -392,8 +388,10 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10, max_iter: int = 200,
                  seed_gain: Optional[Gain] = None) -> tuple[Gain, ValueSolution]:
     """Optimal gain K* = (R + g B'P*B)^-1 g B'P*A via policy iteration.
 
-    Alternates value solves with the improvement map until the gain change
-    drops below tol (relative). If the starting gain (zero, or seed_gain)
+    Each iteration solves for P at the current gain and takes Hewer's step
+    K <- K - E^-1 S (``Evaluation.hewer_step``), the Gauss-Newton step with
+    unit step size, until the step's norm drops below tol (relative to the
+    new gain). If the starting gain (zero, or seed_gain)
     is not gamma-stabilizing, the discount is halved until it is and the
     solution is continued back up to the target discount, exploiting that
     any gain stabilizes for a small enough discount.

@@ -14,6 +14,7 @@ concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,6 +37,11 @@ STEP_MODES = ("fixed", "backtracking")
 _BLOCK_MAX_DIM = 8
 
 
+def _require_int(value, name: str, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class OptimizerConfig:
     """Settings for one optimizer run.
@@ -43,7 +49,9 @@ class OptimizerConfig:
     method      : first_order | gauss_newton | newton
     step_mode   : "fixed" (always step alpha) or "backtracking" (Armijo,
                   starting from alpha and shrinking)
-    alpha       : fixed step, or the initial step for backtracking
+    alpha       : fixed step, or the initial step for backtracking;
+                  positive and finite
+    max_backtracks, max_iter : integers, at least 0 and 1
     newton_damping : base Levenberg shift for non-PD exact Hessians;
                   doubled until a Cholesky factorization succeeds
     seed_gain   : starting gain; None means the zero gain
@@ -65,16 +73,16 @@ class OptimizerConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.step_mode not in STEP_MODES:
             raise ValueError(f"step_mode must be one of {STEP_MODES}, got {self.step_mode!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must lie in (0, 1)")
         if not 0.0 < self.c_armijo < 1.0:
             raise ValueError("c_armijo must lie in (0, 1)")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _require_int(self.max_iter, "max_iter", 1)
+        _require_int(self.max_backtracks, "max_backtracks", 0)
         if self.newton_damping < 0:
             raise ValueError("newton_damping must be >= 0")
 
@@ -149,7 +157,7 @@ def search_direction(method: str, ev: Evaluation, damping: float = 1e-8) -> np.n
     if method == "first_order":
         return -g
     if method == "gauss_newton":
-        d = -vec(np.linalg.solve(ev.E, ev.S))
+        d = -vec(ev.hewer_step)
     elif method == "newton":
         d = _damped_newton(exact_hessian(ev.prob, ev.gain, ev).H_exact, g, damping)
     else:

@@ -86,17 +86,17 @@ def test_criterion_02_gradient_vs_finite_differences(instances20):
 def test_criterion_03_exact_hessian_vs_finite_differences(instances20):
     t0 = time.monotonic()
     worst = 0.0
-    worst_asym = 0.0
+    symmetric = True
     for prob, gain in instances20:
         rep = exact_hessian(prob, gain)
         fd = fd_hessian(prob, gain)
         worst = max(worst, rel_err(rep.H_exact, fd))
-        worst_asym = max(worst_asym, rep.h_exact_asym)
+        symmetric &= np.array_equal(rep.H_exact, rep.H_exact.T)
     elapsed = time.monotonic() - t0
-    ok = worst <= 1e-4 and worst_asym <= 1e-12 and elapsed < 30.0
+    ok = worst <= 1e-4 and symmetric and elapsed < 30.0
     _report(3, "exact Hessian vs central differences on 20 instances", ok,
-            f"max rel err {worst:.2e} (tol 1e-4), asymmetry {worst_asym:.2e} "
-            f"(tol 1e-12), {elapsed:.1f}s (< 30s)")
+            f"max rel err {worst:.2e} (tol 1e-4), exactly symmetric: {symmetric}, "
+            f"{elapsed:.1f}s (< 30s)")
 
 
 def test_criterion_04_lambda_assembly_paths_agree(instances20):

@@ -258,6 +258,19 @@ class TestCli:
                  ["optimize", "--config", missing, "--method", "newton"],
                  ["experiment", "--config", missing, "--seed", "1"],
                  ["landscape", "--config", missing]]
+        bad_gains = ([[float("nan"), 1.0]], [[1.0, 2.0, 3.0]])
+        for i, K in enumerate(bad_gains):
+            for cmd, field in (("solve", "gain"), ("experiment", "seed_gain")):
+                doc = {**PENDULUM_DOC, field: K}
+                cases.append([cmd, "--config", str(write_config(
+                    tmp_path, doc, name=f"{field}{i}.json"))])
+        bad_fields = [{"max_backtracks": "x"}, {"max_iter": 2.5},
+                      {"alpha": float("inf")}, {"max_backtracks": -1},
+                      *({"seed_gain": K} for K in bad_gains)]
+        for i, bad in enumerate(bad_fields):
+            doc = {**PENDULUM_DOC, "methods": [{**PENDULUM_DOC["methods"][0], **bad}]}
+            cases.append(["experiment", "--config", str(write_config(
+                tmp_path, doc, name=f"method{i}.json")), "--seed", "1"])
         for argv in cases:
             assert cli.main(argv) == 1, argv
             err = capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqrnewton import commutation_matrix, expm, kron, psd_sqrt, spectral_radius, unvec, vec
+from lqrnewton import expm, kron, psd_sqrt, spectral_radius, unvec, vec
 
 
 def test_vec_stacks_columns():
@@ -67,25 +67,6 @@ def test_vec_of_product_identities():
         np.testing.assert_allclose(vec(np.outer(v, s)),
                                    kron(s.reshape(-1, 1), np.eye(m_rows)) @ v,
                                    atol=1e-13)
-
-
-def test_commutation_scalar():
-    np.testing.assert_array_equal(commutation_matrix(1, 1), [[1.0]])
-
-
-def test_commutation_transposes_vec():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(commutation_matrix(2, 2) @ vec(x), vec(x.T))
-    rng = np.random.default_rng(2)
-    y = rng.standard_normal((3, 2))
-    np.testing.assert_array_equal(commutation_matrix(3, 2) @ vec(y), vec(y.T))
-
-
-def test_commutation_orthogonal_and_inverse():
-    for m, n in [(2, 3), (4, 1), (3, 3)]:
-        K = commutation_matrix(m, n)
-        np.testing.assert_array_equal(K.T @ K, np.eye(m * n))
-        np.testing.assert_array_equal(commutation_matrix(n, m) @ K, np.eye(m * n))
 
 
 def test_spectral_radius_cases():

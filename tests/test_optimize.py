@@ -167,6 +167,10 @@ class TestConfigValidation:
             OptimizerConfig(grad_tol=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(newton_damping=-1.0)
+        for bad in ({"alpha": np.inf}, {"alpha": np.nan}, {"max_iter": 2.5},
+                    {"max_iter": True}, {"max_backtracks": -1}, {"max_backtracks": "x"}):
+            with pytest.raises(ValueError):
+                OptimizerConfig(**bad)
 
 
 class TestRun:
