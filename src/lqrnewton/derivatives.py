@@ -34,11 +34,11 @@ transpose of the first, so
 Every piece above is a cached property of :class:`Evaluation`, the one
 object that holds a gain's pieces; the functions here read them from a
 fresh Evaluation, and :func:`exact_hessian` returns the Evaluation itself.
-Hewer's step E^-1 S serves both the Gauss-Newton direction and the policy
-iteration of :func:`lqrnewton.lqr.optimal_gain`. The functions are pure and
-thread-safe; an Evaluation caches, so give each thread its own. The dP_i
-are independent of one another (dP_i only needs the i-th right-hand side);
-they are solved as one stack by the Stein solver that gives P.
+Hewer's step E^-1 S is the Gauss-Newton direction. The functions are pure
+and thread-safe; an Evaluation caches, so give each thread its own. The
+dP_i are independent of one another (dP_i only needs the i-th right-hand
+side); their right-hand sides are built in one array and solved as one
+stack by the Stein solver that gives P.
 """
 
 from __future__ import annotations
@@ -157,11 +157,11 @@ class Evaluation:
             raise SingularT(
                 f"Stein operator condition ~{cond:.2e} exceeds {_COND_LIMIT:.0e}; "
                 f"gain is numerically on the stabilizing boundary")
-        # C[c, r] = E_i'S (row c is S[r]) plus its transpose, i = c*m + r
+        # C[c, r] = S'E_i (column c is S[r]') plus E_i'S (row c is S[r]), i = c*m + r
         C = np.zeros((n, m, n, n))
         rows = np.arange(n)
-        C[rows, :, rows, :] = S
-        C = C + C.transpose(0, 1, 3, 2)
+        C[rows, :, :, rows] = S
+        C[rows, :, rows, :] += S
         return _stein_solve(Acl.T, C.reshape(n * m, n, n), self.prob.gamma)
 
     @cached_property

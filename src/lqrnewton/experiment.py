@@ -188,6 +188,9 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     unknown = set(emit_node) - {"trace_csv", "landscape_grid", "summary"}
     if unknown:
         raise ConfigError(f"emit: unknown field(s) {', '.join(sorted(unknown))}")
+    for name, flag in emit_node.items():
+        if not isinstance(flag, bool):
+            raise ConfigError(f"emit.{name}: expected true or false, got {flag!r}")
     emit = EmitFlags(**emit_node)
 
     ranges = None

@@ -1,8 +1,8 @@
 """Discounted stochastic LQR: problem container, stabilization checks,
 discounted Lyapunov solvers for the value and state-correlation matrices,
-performance evaluation, and the optimal gain via policy iteration (Hewer's
-algorithm, whose step is the Gauss-Newton step of
-:class:`lqrnewton.derivatives.Evaluation` with unit step size).
+performance evaluation, and the optimal gain via the structure-preserving
+doubling algorithm for the discrete Riccati equation, finished by one
+Hewer (policy-improvement) step.
 
 Conventions
 -----------
@@ -222,7 +222,10 @@ def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
     until its slowest slice converges. Each doubled slice must then satisfy
     ||M + gamma G X G' - X||_F <= 1e-10 * (1 + ||X||_F); the slices are
     corrected once by doubling on their residual, and NoConvergence is
-    raised if any still misses the bound.
+    raised if any still misses the bound. The doubling copies M once and
+    runs, residual gate, correction and symmetrization included, in two work
+    arrays of that shape (a third only for the correction pass), with the
+    arithmetic of the plain expressions, so its results are the same bits.
     """
     n = G.shape[-1]
     Gt = G.swapaxes(-1, -2)
@@ -246,11 +249,13 @@ def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
         # one refinement pass keeps the residual near round-off
         X = X + solve(M + gamma * G @ X @ Gt - X)
         return (X + X.swapaxes(-1, -2)) / 2.0
-    X = _doubling(G, M, gamma)
-    R = M + gamma * G @ X @ Gt - X
+    acc = np.array(np.broadcast_to(M, np.broadcast_shapes(G.shape, M.shape)))
+    X, tmp = np.empty_like(acc), np.empty_like(acc)
+    _doubling(G, acc, gamma, X, tmp)  # acc is free from here on
+    R = _residual(G, M, X, gamma, tmp, acc)
     if not _within_bound(R, X):
-        X = X + _doubling(G, R, gamma)
-        if not _within_bound(M + gamma * G @ X @ Gt - X, X):
+        X += _doubling(G, R, gamma, acc, np.empty_like(X))
+        if not _within_bound(_residual(G, M, X, gamma, tmp, acc), X):
             raise NoConvergence(
                 "discounted Lyapunov doubling missed its residual bound; the "
                 "closed loop is too close to the stabilizing boundary")
@@ -270,16 +275,30 @@ def _within_bound(R: np.ndarray, X: np.ndarray) -> bool:
     return bool((np.isfinite(sq) & (np.sqrt(_sq_norm(R)) <= bound)).all())
 
 
-def _doubling(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
-    X = M
+def _residual(G: np.ndarray, M: np.ndarray, X: np.ndarray, gamma: float,
+              out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """M + gamma * G X G' - X, written to out; tmp is overwritten."""
+    np.matmul(np.matmul(gamma * G, X, out=tmp), G.swapaxes(-1, -2), out=out)
+    np.add(M, out, out=out)
+    return np.subtract(out, X, out=out)
+
+
+def _doubling(G: np.ndarray, X: np.ndarray, gamma: float,
+              out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Sum X + F X F' + F^2 X F^2' + ... (F = sqrt(gamma) G) by squaring F,
+    accumulating in X itself; the symmetrized sum is written to out. out and
+    tmp are work arrays of X's shape."""
     F = np.sqrt(gamma) * G
+    F2 = np.empty_like(F)
     for _ in range(100):
-        delta = F @ X @ F.swapaxes(-1, -2)
-        X = X + delta
-        F = F @ F
+        delta = np.matmul(np.matmul(F, X, out=out), F.swapaxes(-1, -2), out=tmp)
+        X += delta
+        F, F2 = np.matmul(F, F, out=F2), F
         # ||delta||_F <= 1e-15 * max(1, ||X||_F), squared
         if (_sq_norm(delta) <= 1e-30 * np.maximum(_sq_norm(X), 1.0)).all():
-            return (X + X.swapaxes(-1, -2)) / 2.0
+            np.add(X, X.swapaxes(-1, -2), out=out)
+            out /= 2.0
+            return out
     raise NoConvergence("discounted Lyapunov doubling iteration did not converge")
 
 
@@ -370,75 +389,63 @@ def action_value_at(prob: LqrProblem, sol: ValueSolution,
     return quad_s + cross + quad_a + sol.q
 
 
-def _policy_iteration(prob: LqrProblem, K: np.ndarray,
-                      tol: float, max_iter: int) -> np.ndarray:
-    # derivatives imports this module, so Evaluation is imported at call time
-    from .derivatives import Evaluation
-    for _ in range(max_iter):
-        step = Evaluation(prob, Gain(K)).hewer_step
-        K = K - step
-        if np.linalg.norm(step, "fro") <= tol * (1.0 + np.linalg.norm(K, "fro")):
-            return K
-    raise NoConvergence(
-        f"policy iteration did not converge in {max_iter} iterations "
-        f"(non-stabilizable pair or too tight a tolerance?)")
+def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
+                 max_iter: int = 200) -> tuple[Gain, ValueSolution]:
+    """Optimal gain K* = (R + g B'P*B)^-1 g B'P*A via the structure-preserving
+    doubling algorithm (SDA) for the discrete Riccati equation.
 
+    The discount is folded into the plant (A_0 = sqrt(g) A, and
+    G_0 = g B R^-1 B'), and from H_0 = Q each step computes, with
+    W = I + G_k H_k,
 
-def optimal_gain(prob: LqrProblem, tol: float = 1e-10, max_iter: int = 200,
-                 seed_gain: Optional[Gain] = None) -> tuple[Gain, ValueSolution]:
-    """Optimal gain K* = (R + g B'P*B)^-1 g B'P*A via policy iteration.
+        A_{k+1} = A_k W^-1 A_k
+        G_{k+1} = G_k + A_k W^-1 G_k A_k'
+        H_{k+1} = H_k + A_k' H_k W^-1 A_k
 
-    Each iteration solves for P at the current gain and takes Hewer's step
-    K <- K - E^-1 S (``Evaluation.hewer_step``), the Gauss-Newton step with
-    unit step size, until the step's norm drops below tol (relative to the
-    new gain). If the starting gain (zero, or seed_gain)
-    is not gamma-stabilizing, the discount is halved until it is and the
-    solution is continued back up to the target discount, exploiting that
-    any gain stabilizes for a small enough discount.
+    so that H_k converges quadratically to P*, with no stabilizing starting
+    gain. The iteration stops once ||H_{k+1} - H_k||_F <= tol (1 + ||H_{k+1}||_F).
+    The gain formed from that H is checked and its value P solved; one
+    Hewer step, K* = (R + g B'PB)^-1 g B'PA, then brings K* to policy
+    iteration's accuracy, and the value returned is solved at K* itself.
 
-    Raises NoConvergence when no stabilizing discount path exists (e.g.
-    B = 0 with an unstable A) or the iteration cap is hit.
+    Raises NoConvergence on a non-finite iterate, after max_iter steps, or
+    when the K* found is not gamma-stabilizing (e.g. B = 0 with an unstable
+    A, or an unstable mode that Q does not see).
     """
-    K = seed_gain.K.copy() if seed_gain is not None else np.zeros((prob.m, prob.n))
-    if K.shape != (prob.m, prob.n):
-        raise ValueError("seed_gain shape does not match the problem")
-
-    target = prob.gamma
-    g = target
-    rho_cl = spectral_radius(prob.A - prob.B @ K)
-    for _ in range(128):
-        if np.sqrt(g) * rho_cl < 1.0:
-            break
-        g /= 2.0
-    else:
-        raise NoConvergence("could not find a stabilizing starting discount")
-
-    def at_discount(gam: float) -> LqrProblem:
-        if gam == target:
-            return prob
-        return LqrProblem(prob.A, prob.B, prob.Q, prob.R, gam,
-                          prob.Sigma_w, prob.Sigma_0)
-
-    for _ in range(256):
-        sub = at_discount(g)
-        K = _policy_iteration(sub, K, tol, max_iter)
-        if g == target:
-            break
-        g_next = min(target, 2.0 * g)
-        rho_cl = spectral_radius(prob.A - prob.B @ K)
-        for _ in range(200):
-            if np.sqrt(g_next) * rho_cl < 1.0:
+    g, n = prob.gamma, prob.n
+    A = np.sqrt(g) * prob.A
+    G = g * prob.B @ np.linalg.solve(prob.R, prob.B.T)
+    H = prob.Q
+    # an unstabilizable plant overflows; that is caught below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            V = np.linalg.solve(np.eye(n) + G @ H, np.hstack((A, G)))
+            G = G + A @ V[:, n:] @ A.T
+            H_next = H + A.T @ H @ V[:, :n]
+            A = A @ V[:, :n]
+            G, H_next = (G + G.T) / 2.0, (H_next + H_next.T) / 2.0
+            step, H = np.linalg.norm(H_next - H, "fro"), H_next
+            size = np.linalg.norm(H, "fro")
+            # a norm that overflows must not pass the test below as inf <= inf
+            if not (np.isfinite(step + size) and np.isfinite(A).all()
+                    and np.isfinite(G).all()):
+                raise NoConvergence("Riccati doubling diverged; the pair (A, B) "
+                                    "appears not to be gamma-stabilizable")
+            if step <= tol * (1.0 + size):
                 break
-            g_next = 0.5 * (g + g_next)
         else:
-            raise NoConvergence("discount homotopy stalled; pair may not be stabilizable")
-        if g_next - g <= 1e-12 * target:
+            raise NoConvergence(f"Riccati doubling did not converge in {max_iter} iterations")
+    # H fixes K* only to the Riccati iteration's accuracy; one Hewer step from
+    # the exact value of that gain brings it to policy iteration's
+    P = H
+    for _ in range(2):
+        E = prob.R + g * prob.B.T @ P @ prob.B
+        best = Gain(np.linalg.solve(E, g * prob.B.T @ P @ prob.A))
+        ok, margin = is_gamma_stabilizing(prob, best)
+        if not ok:
             raise NoConvergence(
-                "discount homotopy cannot reach the target discount; "
-                "the pair (A, B) appears not to be gamma-stabilizable")
-        g = g_next
-    else:
-        raise NoConvergence("discount homotopy did not reach the target discount")
-
-    best = Gain(K)
-    return best, solve_value(prob, best)
+                f"the Riccati gain is not gamma-stabilizing (margin {margin:.3g}); (A, B) "
+                f"is not gamma-stabilizable or Q misses an unstable mode")
+        value = solve_value(prob, best, checked_Acl=closed_loop(prob, best))
+        P = value.P
+    return best, value

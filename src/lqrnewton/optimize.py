@@ -52,8 +52,8 @@ class OptimizerConfig:
     alpha       : fixed step, or the initial step for backtracking;
                   positive and finite
     max_backtracks, max_iter : integers, at least 0 and 1
-    newton_damping : base Levenberg shift for non-PD exact Hessians;
-                  doubled until a Cholesky factorization succeeds
+    newton_damping : base Levenberg shift for non-PD exact Hessians, >= 0
+                  and finite; doubled until a Cholesky factorization succeeds
     seed_gain   : starting gain; None means the zero gain
     """
 
@@ -83,8 +83,8 @@ class OptimizerConfig:
             raise ValueError("grad_tol must be positive")
         _require_int(self.max_iter, "max_iter", 1)
         _require_int(self.max_backtracks, "max_backtracks", 0)
-        if self.newton_damping < 0:
-            raise ValueError("newton_damping must be >= 0")
+        if not 0.0 <= self.newton_damping < np.inf:
+            raise ValueError("newton_damping must be finite and >= 0")
 
 
 @dataclass

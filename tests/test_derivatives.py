@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lqrnewton import lqr
 from lqrnewton import (Evaluation, Gain, LqrProblem, exact_hessian,
                        gn_hessian, initial_gain, is_gamma_stabilizing,
                        jacobian_vecP, lambda_term,
@@ -121,6 +122,22 @@ class TestJacobianVecP:
             jac = jacobian_vecP(prob, gain)
             cols = jac.reshape(prob.n, prob.n, -1)
             np.testing.assert_allclose(cols.swapaxes(0, 1), cols, atol=1e-12)
+
+    def test_dP_equals_the_two_array_assembly(self, instances6):
+        # the right-hand sides E_i'S + S'E_i built as C + C', the assembly
+        # that the one-array build replaced; instances6 has m = 2 and the
+        # 48-state building reaches the doubling branch
+        building = make_shear_building(floors=24, seed=0)
+        cases = [*instances6, (building, initial_gain(building, r_inflation=2.0))]
+        for prob, gain in cases:
+            ev = Evaluation(prob, gain)
+            n, m = prob.n, prob.m
+            C = np.zeros((n, m, n, n))
+            rows = np.arange(n)
+            C[rows, :, rows, :] = ev.S
+            C = C + C.transpose(0, 1, 3, 2)
+            want = lqr._stein_solve(ev.Acl.T, C.reshape(n * m, n, n), prob.gamma)
+            assert ev.dP.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 21])
     def test_singular_near_boundary(self, n):

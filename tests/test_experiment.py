@@ -266,15 +266,25 @@ class TestCli:
                     tmp_path, doc, name=f"{field}{i}.json"))])
         bad_fields = [{"max_backtracks": "x"}, {"max_iter": 2.5},
                       {"alpha": float("inf")}, {"max_backtracks": -1},
+                      {"newton_damping": float("inf")}, {"newton_damping": float("nan")},
                       *({"seed_gain": K} for K in bad_gains)]
         for i, bad in enumerate(bad_fields):
             doc = {**PENDULUM_DOC, "methods": [{**PENDULUM_DOC["methods"][0], **bad}]}
             cases.append(["experiment", "--config", str(write_config(
                 tmp_path, doc, name=f"method{i}.json")), "--seed", "1"])
+        # a truthy non-boolean such as "no" would otherwise switch the file on
+        bad_emits = [{"trace_csv": "no"}, {"summary": 0}, {"landscape_grid": None}]
+        for i, bad in enumerate(bad_emits):
+            doc = {**PENDULUM_DOC, "emit": {**PENDULUM_DOC["emit"], **bad}}
+            cases.append(["experiment", "--config", str(write_config(
+                tmp_path, doc, name=f"emit{i}.json")), "--seed", "1"])
         for argv in cases:
             assert cli.main(argv) == 1, argv
             err = capsys.readouterr().err
             assert "config error" in err and "Traceback" not in err, argv
+        for bad in bad_emits:
+            with pytest.raises(ConfigError, match=rf"emit\.{next(iter(bad))}"):
+                config_from_dict({**PENDULUM_DOC, "emit": bad})
 
     def test_validate_runs_clean(self, capsys):
         assert cli.main(["validate"]) == 0

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lqrnewton import lqr
 from lqrnewton import (Evaluation, Gain, LqrProblem, action_value_at, closed_loop,
-                       is_gamma_stabilizing, optimal_gain, pendulum_continuous,
+                       is_gamma_stabilizing, make_pendulum, make_shear_building,
+                       optimal_gain, pendulum_continuous,
                        performance, policy_gradient, solve_sigma, solve_value,
                        value_at)
 from lqrnewton.errors import NoConvergence, NotStabilizing
@@ -227,6 +231,31 @@ def _near_boundary(n, margin, gamma=0.9):
     return G * (1.0 - margin) / (np.sqrt(gamma) * np.max(np.abs(np.linalg.eigvals(G))))
 
 
+def _doubling_reference(G, M, gamma):
+    # the allocating loop that the buffered _doubling replaced, kept as the
+    # reference it must equal bit for bit
+    X = M
+    F = np.sqrt(gamma) * G
+    for _ in range(100):
+        delta = F @ X @ F.swapaxes(-1, -2)
+        X = X + delta
+        F = F @ F
+        if (lqr._sq_norm(delta) <= 1e-30 * np.maximum(lqr._sq_norm(X), 1.0)).all():
+            return (X + X.swapaxes(-1, -2)) / 2.0
+    raise NoConvergence("reference doubling did not converge")
+
+
+def _doubling_solve_reference(G, M, gamma):
+    Gt = G.swapaxes(-1, -2)
+    X = _doubling_reference(G, M, gamma)
+    R = M + gamma * G @ X @ Gt - X
+    if not lqr._within_bound(R, X):
+        X = X + _doubling_reference(G, R, gamma)
+        if not lqr._within_bound(M + gamma * G @ X @ Gt - X, X):
+            raise NoConvergence("reference doubling missed its residual bound")
+    return X
+
+
 class TestSteinSolve:
     @pytest.mark.parametrize("n", [3, 25])
     def test_stack_equals_per_slice_solves(self, n):
@@ -265,6 +294,29 @@ class TestSteinSolve:
                             lambda a, **kw: seen.append(a.copy()) or getrf(a, **kw))
         lqr._stein_solve(G, np.eye(4), 0.9)
         np.testing.assert_array_equal(seen[0], np.eye(16) - 0.9 * np.kron(G, G))
+
+    @pytest.mark.parametrize("case", ["one slice", "shared G", "paired G", "corrected"])
+    def test_doubling_equals_the_allocating_loop(self, case, monkeypatch):
+        n, gamma = 25, 0.9
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((n, n))
+        G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+        M = rng.standard_normal((4, n, n))
+        M = M + M.transpose(0, 2, 1)
+        if case == "one slice":
+            M = M[0]
+        elif case == "paired G":
+            G = rng.standard_normal((4, n, n))
+            radii = np.array([0.2, 0.5, 0.9, 0.99])
+            G *= (radii / np.max(np.abs(np.linalg.eigvals(G)), axis=-1))[:, None, None]
+        elif case == "corrected":
+            # a closed loop this close to the boundary misses the bound once
+            G, M = _near_boundary(n, 1e-3, gamma), np.stack([np.eye(n), np.ones((n, n))])
+        calls = count_calls(monkeypatch, lqr, "_doubling")
+        X = lqr._stein_solve(G, M, gamma)
+        assert len(calls) == (2 if case == "corrected" else 1)
+        want = _doubling_solve_reference(G, M, gamma)
+        assert X.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n, margin", [(21, 1e-5), (21, 1e-2), (48, 1e-2)])
     def test_doubling_meets_its_bound_or_refuses(self, n, margin):
@@ -335,6 +387,17 @@ class TestValueFunctions:
             action_value_at(p, sol, np.zeros(2), np.zeros(3))
 
 
+def _random_plant():
+    # an open-loop unstable 3-state plant with two inputs
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((3, 3))
+    A *= 1.1 / np.max(np.abs(np.linalg.eigvals(A)))
+    G = rng.standard_normal((3, 3))
+    return LqrProblem(A=A, B=rng.standard_normal((3, 2)), Q=G.T @ G / 3,
+                      R=np.eye(2), gamma=0.85, Sigma_w=0.1 * np.eye(3),
+                      Sigma_0=np.eye(3))
+
+
 class TestOptimalGain:
     def test_no_actuation_stable(self):
         p = LqrProblem(A=0.5 * np.eye(2), B=np.zeros((2, 1)), Q=np.eye(2),
@@ -347,8 +410,35 @@ class TestOptimalGain:
         p = LqrProblem(A=2.0 * np.eye(2), B=np.zeros((2, 1)), Q=np.eye(2),
                        R=[[1.0]], gamma=0.9, Sigma_w=np.zeros((2, 2)),
                        Sigma_0=np.eye(2))
-        with pytest.raises(NoConvergence):
-            optimal_gain(p, max_iter=50)
+        # the diverging iterates overflow; that must raise, not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence):
+                optimal_gain(p, max_iter=50)
+
+    @pytest.mark.parametrize("A, Q", [(2.0 * np.eye(2), np.zeros((2, 2))),
+                                      (np.diag([0.5, 2.0]), np.diag([1.0, 0.0]))],
+                             ids=["zero-Q", "unseen-unstable-mode"])
+    def test_unstable_mode_without_cost_raises(self, A, Q):
+        # the Riccati solution leaves a mode that Q does not see unstable
+        p = LqrProblem(A=A, B=np.eye(2), Q=Q, R=np.eye(2), gamma=0.9,
+                       Sigma_w=0.1 * np.eye(2), Sigma_0=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence):
+                optimal_gain(p)
+
+    @pytest.mark.parametrize("plant", ["pendulum", "building24", "random3"])
+    def test_matches_scipy_dare(self, plant):
+        p = {"pendulum": make_pendulum,
+             "building24": lambda: make_shear_building(floors=24, seed=0),
+             "random3": _random_plant}[plant]()
+        g = p.gamma
+        P = scipy.linalg.solve_discrete_are(np.sqrt(g) * p.A, np.sqrt(g) * p.B, p.Q, p.R)
+        K = np.linalg.solve(p.R + g * p.B.T @ P @ p.B, g * p.B.T @ P @ p.A)
+        k, sol = optimal_gain(p)
+        assert rel_err(k.K, K) <= 1e-12
+        assert rel_err(sol.P, P) <= 1e-12
 
     def test_scalar_against_root_finding(self, scalar_prob):
         # independent oracle: bisection on the first-order condition
@@ -374,13 +464,7 @@ class TestOptimalGain:
         assert abs(policy_gradient(scalar_prob, k)[0]) <= 1e-10
 
     def test_self_consistency_random(self):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((3, 3))
-        A *= 1.1 / np.max(np.abs(np.linalg.eigvals(A)))
-        G = rng.standard_normal((3, 3))
-        p = LqrProblem(A=A, B=rng.standard_normal((3, 2)), Q=G.T @ G / 3,
-                       R=np.eye(2), gamma=0.85, Sigma_w=0.1 * np.eye(3),
-                       Sigma_0=np.eye(3))
+        p = _random_plant()
         k, sol = optimal_gain(p, tol=1e-12)
         target = np.linalg.solve(p.R + p.gamma * p.B.T @ sol.P @ p.B,
                                  p.gamma * p.B.T @ sol.P @ p.A)
@@ -388,8 +472,8 @@ class TestOptimalGain:
         assert np.linalg.norm(policy_gradient(p, k)) <= 1e-10
 
     def test_homotopy_from_unstable_seed(self):
-        # zero gain is not stabilizing at the target discount; the discount
-        # ladder must still reach it
+        # the zero gain is not stabilizing at the target discount, and the
+        # Riccati iteration needs no stabilizing start
         p = LqrProblem(A=2.0 * np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2),
                        gamma=0.9, Sigma_w=0.1 * np.eye(2), Sigma_0=np.eye(2))
         ok, _ = is_gamma_stabilizing(p, Gain.zero(p))

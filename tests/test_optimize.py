@@ -168,7 +168,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(newton_damping=-1.0)
         for bad in ({"alpha": np.inf}, {"alpha": np.nan}, {"max_iter": 2.5},
-                    {"max_iter": True}, {"max_backtracks": -1}, {"max_backtracks": "x"}):
+                    {"max_iter": True}, {"max_backtracks": -1}, {"max_backtracks": "x"},
+                    {"newton_damping": np.inf}, {"newton_damping": np.nan}):
             with pytest.raises(ValueError):
                 OptimizerConfig(**bad)
 
