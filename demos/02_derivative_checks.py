@@ -1,10 +1,12 @@
 """Cross-validate every closed-form derivative against an independent route.
 
-Four checks on a random 3-state, 2-input instance:
+Five checks on a random 3-state, 2-input instance:
   1. the policy gradient against central finite differences of the cost,
   2. the exact Hessian against finite differences,
-  3. the distribution term Lambda assembled two different ways,
-  4. the discounted state correlation from the Lyapunov solver against the
+  3. Hessian-vector products (two Stein solves each) against the dense
+     exact Hessian times the same vectors,
+  4. the distribution term Lambda assembled two different ways,
+  5. the discounted state correlation from the Lyapunov solver against the
      series summed term by term from the moment recursion.
 """
 
@@ -30,7 +32,11 @@ rep = exact_hessian(prob, gain)
 fdh = fd_hessian(prob, gain)
 print(f"exact Hessian vs finite differences: "
       f"{np.linalg.norm(rep.H_exact - fdh, 'fro') / np.linalg.norm(fdh, 'fro'):.2e} relative")
-print(f"max |H_exact - H_exact'|: {np.max(np.abs(rep.H_exact - rep.H_exact.T)):.2e}\n")
+print(f"max |H_exact - H_exact'|: {np.max(np.abs(rep.H_exact - rep.H_exact.T)):.2e}")
+V = np.random.default_rng(0).standard_normal((prob.m * prob.n, 4))
+hvp_err = max(np.max(np.abs(rep.hvp(v) - rep.H_exact @ v)) for v in V.T)
+print(f"max |hvp(v) - H_exact v| over 4 random v: {hvp_err:.2e} "
+      f"(max |H_exact v| {np.max(np.abs(rep.H_exact @ V)):.2e})\n")
 
 jac = jacobian_vecP(prob, gain)
 lam_direct = lambda_term(prob, gain, jac)

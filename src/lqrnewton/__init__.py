@@ -15,12 +15,13 @@ from .lqr import (Gain, LqrProblem, ValueSolution, action_value_at,
                   closed_loop, is_gamma_stabilizing, optimal_gain,
                   performance, solve_sigma, solve_value, value_at)
 from .derivatives import (Evaluation, exact_hessian, gn_hessian,
-                          jacobian_vecP, lambda_term, policy_gradient)
+                          hessian_vector_product, jacobian_vecP, lambda_term,
+                          policy_gradient)
 from .optimize import (IterateRecord, OptimizerConfig, RunRecord,
                        backtracking_search, run, search_direction)
 from .oracles import (McEstimate, ScalarReport, discounted_moment_series,
-                      fd_gradient, fd_hessian, lambda_via_Mi, monte_carlo_J,
-                      scalar_reference)
+                      fd_gradient, fd_hessian, fd_hvp, lambda_via_Mi,
+                      monte_carlo_J, scalar_reference)
 from .benchmarks import (LandscapeGrid, default_landscape_window,
                          initial_gain, landscape, make_pendulum,
                          make_shear_building, pendulum_continuous,
@@ -38,12 +39,13 @@ __all__ = [
     "Gain", "LqrProblem", "ValueSolution", "action_value_at", "closed_loop",
     "is_gamma_stabilizing", "optimal_gain", "performance", "solve_sigma",
     "solve_value", "value_at",
-    "Evaluation", "exact_hessian", "gn_hessian", "jacobian_vecP",
+    "Evaluation", "exact_hessian", "gn_hessian", "hessian_vector_product",
+    "jacobian_vecP",
     "lambda_term", "policy_gradient",
     "IterateRecord", "OptimizerConfig", "RunRecord", "backtracking_search",
     "run", "search_direction",
     "McEstimate", "ScalarReport", "discounted_moment_series", "fd_gradient",
-    "fd_hessian", "lambda_via_Mi", "monte_carlo_J", "scalar_reference",
+    "fd_hessian", "fd_hvp", "lambda_via_Mi", "monte_carlo_J", "scalar_reference",
     "LandscapeGrid", "default_landscape_window", "initial_gain", "landscape",
     "make_pendulum", "make_shear_building", "pendulum_continuous",
     "rotated_Q", "zoh_discretize",

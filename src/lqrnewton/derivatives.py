@@ -31,42 +31,75 @@ transpose of the first, so
 
     Lambda = -2 (T1 + T1'),  T1 = [vec(B' dP_1 Acl Sigma) ... vec(B' dP_mn Acl Sigma)]
 
-Every piece above is a cached property of :class:`Evaluation`, the one
+A product of the exact Hessian with one direction v = vec(V) needs neither
+the stack nor H itself (Bu, Mesbahi, Fazel & Mesbahi, 2019). With dP[V] the
+Stein solve on V'S + S'V in Acl' and Y the adjoint solve
+Y = sym(B V Sigma Acl') + gamma Acl Y Acl',
+
+    H v = 2 vec(E V Sigma) - 2 gamma [vec(B' dP[V] Acl Sigma) + 2 vec(S Y)]
+
+Every piece above is a cached attribute of :class:`Evaluation`, the one
 object that holds a gain's pieces; the functions here read them from a
 fresh Evaluation, and :func:`exact_hessian` returns the Evaluation itself.
 Hewer's step E^-1 S is the Gauss-Newton direction. The functions are pure
-and thread-safe; an Evaluation caches, so give each thread its own. The
-dP_i are independent of one another (dP_i only needs the i-th right-hand
-side); their right-hand sides are built in one array and solved as one
-stack by the Stein solver that gives P.
+and thread-safe; an Evaluation caches, so give each thread its own. Every
+Stein equation at a gain, P, Sigma, the dP stack and both solves of each
+Hessian-vector product, is solved on the gain's one factored operator
+(``Evaluation.stein``). The dP_i are independent of one another (dP_i only
+needs the i-th right-hand side); their right-hand sides are built in one
+array and solved as one stack.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import SingularT
 from .linalg import kron, vec
-from .lqr import (Gain, LqrProblem, ValueSolution, _cost_of, _not_stabilizing,
-                  _require_finite, _stein_solve, _value_of, closed_loop, solve_sigma,
-                  solve_value)
+from .lqr import (Gain, LqrProblem, SteinOperator, ValueSolution, _cost_of,
+                  _not_stabilizing, _require_finite, _value_of, closed_loop,
+                  closed_loop_operator, solve_sigma, solve_value)
 
 _COND_LIMIT = 1e14
+
+
+class cached:
+    """A computed attribute kept in the instance ``__dict__`` on first read.
+
+    Like functools.cached_property without its lock: a non-data descriptor,
+    so the stored value shadows it from then on, and assigning the attribute
+    sets the value directly.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class Evaluation:
     """Every closed-form piece at one gain, each computed at most once.
 
     Acl = A - B K is formed on construction; the eigenvalues of
-    sqrt(gamma) * Acl, the margin, P and q, Sigma, J, S, E = R + gamma B'PB,
-    grad, H_gn, Hewer's step E^-1 S, the dP stack and jac_vecP, Lambda and
-    H_exact are computed on first read and kept. That one eigenvalue solve
-    is the gain's only stability check: P and Sigma are solved without
-    another. Reading P or Sigma at a non-stabilizing gain raises
-    NotStabilizing, and reading dP at a gain numerically on the stabilizing
+    sqrt(gamma) * Acl, the margin, the Stein operator, P and q, Sigma,
+    Acl Sigma, J, S, E = R + gamma B'PB, grad, H_gn, Hewer's step E^-1 S,
+    the dP stack and jac_vecP, Lambda and H_exact are computed on first
+    read and kept.
+    That one eigenvalue solve is the gain's only stability check: P and
+    Sigma are solved without another, on one operator factored once.
+    :meth:`hvp` multiplies by H_exact without forming it. Reading the
+    operator, P or Sigma at a non-stabilizing gain raises NotStabilizing,
+    and reading dP or calling hvp at a gain numerically on the stabilizing
     boundary raises SingularT. Reads return the kept arrays themselves; do
     not modify them in place.
     """
@@ -76,61 +109,67 @@ class Evaluation:
         self.gain = gain
         self.Acl = closed_loop(prob, gain)
 
-    @cached_property
+    @cached
     def eigvals(self) -> np.ndarray:
         """Eigenvalues of sqrt(gamma) * Acl."""
         return np.linalg.eigvals(np.sqrt(self.prob.gamma) * self.Acl)
 
-    @cached_property
+    @cached
     def margin(self) -> float:
         """1 - rho(sqrt(gamma) * Acl); positive exactly when stabilizing."""
         return 1.0 - float(np.max(np.abs(self.eigvals)))
 
     stabilizing = property(lambda self: self.margin > 0.0)
 
-    def _checked_Acl(self, what: str) -> np.ndarray:
+    @cached
+    def stein(self) -> SteinOperator:
+        """The Stein operator of Acl, factored once: P, the dP stack and the
+        forward solve of :meth:`hvp` solve in Acl', Sigma and the adjoint
+        solve in Acl."""
         if not self.stabilizing:
-            raise _not_stabilizing(what, self.margin)
-        return self.Acl
+            raise _not_stabilizing("the Stein operator", self.margin)
+        return closed_loop_operator(self.prob, self.Acl)
 
-    @cached_property
+    @cached
     def _value(self) -> ValueSolution:
-        return solve_value(self.prob, self.gain,
-                           checked_Acl=self._checked_Acl("solve_value"))
+        return solve_value(self.prob, self.gain, stein=self.stein)
 
     P = property(lambda self: self._value.P)
     q = property(lambda self: self._value.q)
 
-    @cached_property
+    @cached
     def Sigma(self) -> np.ndarray:
-        return solve_sigma(self.prob, self.gain,
-                           checked_Acl=self._checked_Acl("solve_sigma"))
+        return solve_sigma(self.prob, self.gain, stein=self.stein)
 
-    @cached_property
+    @cached
+    def AclSigma(self) -> np.ndarray:
+        return self.Acl @ self.Sigma
+
+    @cached
     def J(self) -> float:
         """Performance tr(P Sigma_0) + q."""
         return float(_cost_of(self.prob, self.P, self.q))
 
-    @cached_property
+    @cached
     def S(self) -> np.ndarray:
         prob = self.prob
         return prob.R @ self.gain.K - prob.gamma * prob.B.T @ self.P @ self.Acl
 
-    @cached_property
+    @cached
     def E(self) -> np.ndarray:
         prob = self.prob
         E = prob.R + prob.gamma * prob.B.T @ self.P @ prob.B
         return (E + E.T) / 2.0
 
-    @cached_property
+    @cached
     def grad(self) -> np.ndarray:
         return 2.0 * vec(self.S @ self.Sigma)
 
-    @cached_property
+    @cached
     def H_gn(self) -> np.ndarray:
         return 2.0 * kron(self.Sigma, self.E)
 
-    @cached_property
+    @cached
     def hewer_step(self) -> np.ndarray:
         """E^-1 S, so that K - E^-1 S is Hewer's policy-improvement step.
 
@@ -139,47 +178,76 @@ class Evaluation:
         """
         return np.linalg.solve(self.E, self.S)
 
-    @cached_property
-    def dP(self) -> np.ndarray:
-        """The m*n Stein equations dP_i solved as one stack, shape
-        (m*n, n, n); slice i = c*m + r is dP/dK[r, c].
+    @cached
+    def _conditioned_stein(self) -> SteinOperator:
+        """The Stein operator at a gain off the stabilizing boundary.
 
-        The Stein operator's eigenvalues are 1 - mu_i mu_j over the
-        eigenvalues mu of sqrt(gamma) * Acl; a gain with
-        1 / min |1 - mu_i mu_j| above _COND_LIMIT is numerically on the
-        stabilizing boundary: SingularT.
+        Its eigenvalues are 1 - mu_i mu_j over the eigenvalues mu of
+        sqrt(gamma) * Acl; a gain with 1 / min |1 - mu_i mu_j| above
+        _COND_LIMIT is numerically on the boundary: SingularT.
         """
-        Acl, S, mu = self.Acl, self.S, self.eigvals
-        n, m = Acl.shape[0], S.shape[0]
+        stein, mu = self.stein, self.eigvals
         gap = np.min(np.abs(1.0 - np.multiply.outer(mu, mu)))
         cond = 1.0 / max(gap, 1e-300)
         if cond > _COND_LIMIT:
             raise SingularT(
                 f"Stein operator condition ~{cond:.2e} exceeds {_COND_LIMIT:.0e}; "
                 f"gain is numerically on the stabilizing boundary")
+        return stein
+
+    @cached
+    def dP(self) -> np.ndarray:
+        """The m*n Stein equations dP_i solved as one stack, shape
+        (m*n, n, n); slice i = c*m + r is dP/dK[r, c]. SingularT at a gain
+        numerically on the stabilizing boundary."""
+        S = self.S
+        stein = self._conditioned_stein
+        n, m = self.prob.n, self.prob.m
         # C[c, r] = S'E_i (column c is S[r]') plus E_i'S (row c is S[r]), i = c*m + r
         C = np.zeros((n, m, n, n))
         rows = np.arange(n)
         C[rows, :, :, rows] = S
         C[rows, :, rows, :] += S
-        return _stein_solve(Acl.T, C.reshape(n * m, n, n), self.prob.gamma)
+        return stein.solve(C.reshape(n * m, n, n))
 
-    @cached_property
+    def hvp(self, v: np.ndarray) -> np.ndarray:
+        """H_exact @ v for a length-(m*n) v = vec(V), from two Stein solves
+        on the gain's operator and neither the dP stack nor H_exact:
+
+            2 vec(E V Sigma) - 2 gamma [vec(B' dP[V] Acl Sigma) + 2 vec(S Y)]
+
+        with dP[V] = V'S + S'V + gamma Acl' dP[V] Acl and
+        Y = sym(B V Sigma Acl') + gamma Acl Y Acl'. Agrees with H_exact @ v
+        to round-off; SingularT as for dP.
+        """
+        prob, S, AS = self.prob, self.S, self.AclSigma
+        stein = self._conditioned_stein
+        # in transposed form: v.reshape(n, m) is V', and since Sigma, E, dP[V]
+        # and Y are symmetric, the row-major ravel of H' below is vec(H)
+        Vt = np.asarray(v, dtype=float).reshape(prob.n, prob.m)
+        W = Vt @ S
+        dPV = stein.solve(W + W.T)
+        Z = prob.B @ (AS @ Vt).T
+        Y = stein.solve((Z + Z.T) / 2.0, transpose=True)
+        Ht = self.Sigma @ Vt @ self.E - prob.gamma * (AS.T @ dPV @ prob.B + 2.0 * Y @ S.T)
+        return 2.0 * Ht.ravel()
+
+    @cached
     def jac_vecP(self) -> np.ndarray:
         """The (n^2, m*n) Jacobian of vec(P); column i is vec(dP_i), a view
         of the dP stack."""
         # each dP_i is symmetric, so its row-major ravel is vec(dP_i)
         return self.dP.reshape(len(self.dP), -1).T
 
-    @cached_property
+    @cached
     def Lambda(self) -> np.ndarray:
         """-2 (T1 + T1') from the dP stack; exactly symmetric as computed."""
-        X = self.prob.B.T @ self.dP @ (self.Acl @ self.Sigma)
+        X = self.prob.B.T @ self.dP @ self.AclSigma
         # row i of T1t is vec(B' dP_i Acl Sigma)', i.e. column i of T1
         T1t = X.swapaxes(1, 2).reshape(len(self.dP), -1)
         return -2.0 * (T1t + T1t.T)
 
-    @cached_property
+    @cached
     def H_exact(self) -> np.ndarray:
         """H_gn + gamma * Lambda; exactly symmetric as computed, since both
         terms are."""
@@ -193,8 +261,8 @@ class Trials:
     One eigenvalue call checks every trial and one Stein call solves P for
     the stabilizing ones; a non-stabilizing trial is never solved. The
     margin, P, q and J formulas are the ones :class:`Evaluation` uses,
-    broadcast over the trials (see ``_stein_solve`` for when a stacked P
-    can differ from a solve of its own in the last bits). ``stabilizing``
+    broadcast over the trials (see :class:`SteinOperator` for when a
+    stacked P can differ from a solve of its own in the last bits). ``stabilizing``
     and ``J`` (NaN where not stabilizing) are vectors over the trials. A
     non-finite trial gain raises ValueError, as Gain does.
     """
@@ -215,16 +283,18 @@ class Trials:
         if s.any():
             if not s.all():
                 K, Acl = K[s], Acl[s]
-            self._P, self._q = _value_of(prob, K, Acl)
+            self._stein = closed_loop_operator(prob, Acl)
+            self._P, self._q = _value_of(prob, K, self._stein)
             self.J[s] = _cost_of(prob, self._P, self._q)
 
     def evaluation(self, j: int) -> Evaluation:
-        """Trial j's Evaluation, carrying the eigenvalues, P, q and J
-        computed here."""
+        """Trial j's Evaluation, carrying the eigenvalues, Stein operator,
+        P, q and J computed here."""
         ev = Evaluation(self.prob, Gain(self.K[j]))
         ev.eigvals = self.eigvals[j]
         if self.stabilizing[j]:
             i = int(np.count_nonzero(self.stabilizing[:j]))
+            ev.stein = self._stein.slice(i)
             ev._value = ValueSolution(self._P[i], float(self._q[i]))
             ev.J = float(self.J[j])
         return ev
@@ -277,6 +347,16 @@ def lambda_term(prob: LqrProblem, gain: Gain, jac: np.ndarray) -> np.ndarray:
     # column i of jac is vec(dP_i): unvec each one
     ev.dP = jac.T.reshape(mn, n, n).swapaxes(1, 2)
     return ev.Lambda
+
+
+def hessian_vector_product(prob: LqrProblem, gain: Gain, v: np.ndarray) -> np.ndarray:
+    """H_exact @ v at a gain, without forming H_exact or the Jacobian.
+
+    Two Stein solves, one in Acl' and one in Acl, on one factored operator
+    (see :meth:`Evaluation.hvp`). Raises NotStabilizing outside the
+    stabilizing set and SingularT on its boundary.
+    """
+    return Evaluation(prob, gain).hvp(v)
 
 
 def exact_hessian(prob: LqrProblem, gain: Gain,

@@ -129,8 +129,7 @@ def _method_from(node, idx: int, prob: LqrProblem) -> OptimizerConfig:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object")
     known = {"method", "step_mode", "alpha", "c_armijo", "shrink",
-             "max_backtracks", "grad_tol", "max_iter", "newton_damping",
-             "seed_gain"}
+             "max_backtracks", "grad_tol", "max_iter", "seed_gain"}
     unknown = set(node) - known
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {', '.join(sorted(unknown))}")

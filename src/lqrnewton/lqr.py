@@ -2,7 +2,9 @@
 discounted Lyapunov solvers for the value and state-correlation matrices,
 performance evaluation, and the optimal gain via the structure-preserving
 doubling algorithm for the discrete Riccati equation, finished by one
-Hewer (policy-improvement) step.
+Hewer (policy-improvement) step. A gain's two Lyapunov equations are
+transposes of each other, so one factored :class:`SteinOperator` serves
+both, and every further solve in the same closed loop.
 
 Conventions
 -----------
@@ -12,7 +14,8 @@ and initial-state covariance Sigma_0. The policy is a = -K s with K of shape
 gamma-stabilizing when rho(sqrt(gamma) * (A - B K)) < 1, which is exactly the
 condition for the discounted sums below to converge.
 
-All functions are pure; solver state is local to each call.
+All functions are pure. A SteinOperator keeps the doubling powers it has
+computed, so give each thread its own.
 """
 
 from __future__ import annotations
@@ -193,33 +196,27 @@ def _not_stabilizing(what: str, margin: float) -> NotStabilizing:
         f"(rho(sqrt(gamma)*Acl) = {1.0 - margin:.6f} >= 1)")
 
 
-def _checked_closed_loop(prob: LqrProblem, gain: Gain, what: str,
-                         Acl: Optional[np.ndarray]) -> np.ndarray:
-    """The closed loop of a gain, checked to be gamma-stabilizing unless the
-    caller passes the closed loop it has already checked."""
-    if Acl is not None:
-        return Acl
-    ok, margin = is_gamma_stabilizing(prob, gain)
-    if not ok:
-        raise _not_stabilizing(what, margin)
-    return closed_loop(prob, gain)
+class SteinOperator:
+    """The discounted Stein equation X = M + gamma * G X G', for gamma*rho(G)^2
+    < 1, factored once and solved for any number of symmetric right-hand
+    sides, in G or, with ``transpose=True``, in G'.
 
+    G is one (n, n) matrix, or a (k, n, n) stack whose slices are paired
+    with those of a (k, n, n) right-hand side. :meth:`solve` takes one
+    (n, n) right-hand side or a (k, n, n) stack and returns X of that shape,
+    every slice symmetrized.
 
-def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve X = M + gamma * G X G' for symmetric M with gamma*rho(G)^2 < 1.
-
-    M is one (n, n) right-hand side or a stack (k, n, n) of them. G is one
-    (n, n) matrix shared by every slice, or a (k, n, n) stack paired with M
-    slice by slice. The result has M's shape, every slice symmetrized.
-
-    For n <= 20 the vectorized system (I - gamma * G (x) G) vec(X) = vec(M)
-    is LU-factored once per G; every slice is solved against its G's
-    factorization and refined once with its computed residual, so a paired
-    slice gets the same LAPACK calls as a solve of its own. Larger systems
-    use the squared-iteration form of the same geometric series (F <- F @ F
-    doubles the number of accumulated terms per step) until every slice's
-    increment is below 1e-15 * max(1, ||X||_F); a stack therefore iterates
-    until its slowest slice converges. Each doubled slice must then satisfy
+    For n <= 20 the operator holds the LU factors of the vectorized system
+    I - gamma * G (x) G, one per slice of G; its transpose is the system in
+    G', so both equations are solved (getrs, trans=0 or 1) against the same
+    factors. Each slice is refined once with its computed residual, so a
+    paired slice gets the same LAPACK calls as a solve of its own. Larger
+    systems use the squared-iteration form of the same geometric series:
+    the operator keeps the powers F, F^2, F^4, ... of F = sqrt(gamma) G,
+    computed when a solve first needs them and read transposed for G', and
+    sums X + F X F' + F^2 X F^2' + ... until every slice's increment is
+    below 1e-15 * max(1, ||X||_F); a stack therefore iterates until its
+    slowest slice converges. Each doubled slice must then satisfy
     ||M + gamma G X G' - X||_F <= 1e-10 * (1 + ||X||_F); the slices are
     corrected once by doubling on their residual, and NoConvergence is
     raised if any still misses the bound. The doubling copies M once and
@@ -227,39 +224,96 @@ def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
     arrays of that shape (a third only for the correction pass), with the
     arithmetic of the plain expressions, so its results are the same bits.
     """
-    n = G.shape[-1]
-    Gt = G.swapaxes(-1, -2)
-    if n <= _DIRECT_SOLVE_MAX_DIM:
-        Gs = G.reshape(-1, n, n)
-        # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l]
-        T = (Gs[:, :, None, :, None] * Gs[:, None, :, None, :]).reshape(-1, n * n, n * n)
-        T *= -gamma
-        T.reshape(len(T), -1)[:, ::n * n + 1] += 1.0
-        lus = [_getrf(t, overwrite_a=True) for t in T]
-        if any(info != 0 for _, _, info in lus):
-            raise np.linalg.LinAlgError("discounted Lyapunov operator is singular")
 
-        def solve(rhs):
-            # the column-major vec of each slice is one column of its G's solve
-            cols = rhs.swapaxes(-1, -2).reshape(len(lus), -1, n * n)
-            X = [_getrs(lu, piv, c.T)[0].T for (lu, piv, _), c in zip(lus, cols)]
-            return np.concatenate(X).reshape(M.shape).swapaxes(-1, -2)
+    def __init__(self, G: np.ndarray, gamma: float):
+        self.G, self.gamma = G, gamma
+        n = G.shape[-1]
+        if n <= _DIRECT_SOLVE_MAX_DIM:
+            Gs = G.reshape(-1, n, n)
+            # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l]
+            T = (Gs[:, :, None, :, None] * Gs[:, None, :, None, :]).reshape(-1, n * n, n * n)
+            T *= -gamma
+            T.reshape(len(T), -1)[:, ::n * n + 1] += 1.0
+            self._lus = [_getrf(t, overwrite_a=True) for t in T]
+            if any(info != 0 for _, _, info in self._lus):
+                raise np.linalg.LinAlgError("discounted Lyapunov operator is singular")
+        else:
+            self._powers = [np.sqrt(gamma) * G]  # F^(2^j) at index j
 
-        X = solve(M)
-        # one refinement pass keeps the residual near round-off
-        X = X + solve(M + gamma * G @ X @ Gt - X)
-        return (X + X.swapaxes(-1, -2)) / 2.0
-    acc = np.array(np.broadcast_to(M, np.broadcast_shapes(G.shape, M.shape)))
-    X, tmp = np.empty_like(acc), np.empty_like(acc)
-    _doubling(G, acc, gamma, X, tmp)  # acc is free from here on
-    R = _residual(G, M, X, gamma, tmp, acc)
-    if not _within_bound(R, X):
-        X += _doubling(G, R, gamma, acc, np.empty_like(X))
-        if not _within_bound(_residual(G, M, X, gamma, tmp, acc), X):
-            raise NoConvergence(
-                "discounted Lyapunov doubling missed its residual bound; the "
-                "closed loop is too close to the stabilizing boundary")
-    return X
+    def slice(self, j: int) -> "SteinOperator":
+        """The operator of G[j] for a stacked G, sharing this one's factors."""
+        op = object.__new__(SteinOperator)
+        op.G, op.gamma = self.G[j], self.gamma
+        if hasattr(self, "_lus"):
+            op._lus = [self._lus[j]]
+        else:
+            op._powers = [F[j] for F in self._powers]
+        return op
+
+    def solve(self, M: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """X = M + gamma * G X G', or X = M + gamma * G' X G with ``transpose``."""
+        gamma = self.gamma
+        G = self.G.swapaxes(-1, -2) if transpose else self.G
+        Gt = G.swapaxes(-1, -2)
+        if hasattr(self, "_lus"):
+            X = self._lu_solve(M, transpose)
+            # one refinement pass keeps the residual near round-off
+            X = X + self._lu_solve(M + gamma * G @ X @ Gt - X, transpose)
+            return (X + X.swapaxes(-1, -2)) / 2.0
+        acc = np.array(np.broadcast_to(M, np.broadcast_shapes(G.shape, M.shape)))
+        X, tmp = np.empty_like(acc), np.empty_like(acc)
+        self._doubling(acc, transpose, X, tmp)  # acc is free from here on
+        R = _residual(G, M, X, gamma, tmp, acc)
+        if not _within_bound(R, X):
+            X += self._doubling(R, transpose, acc, np.empty_like(X))
+            if not _within_bound(_residual(G, M, X, gamma, tmp, acc), X):
+                raise NoConvergence(
+                    "discounted Lyapunov doubling missed its residual bound; the "
+                    "closed loop is too close to the stabilizing boundary")
+        return X
+
+    def _lu_solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+        n, trans = self.G.shape[-1], int(transpose)
+        # the column-major vec of each slice is one column of its G's solve
+        cols = rhs.swapaxes(-1, -2).reshape(-1, n * n).T
+        if len(self._lus) == 1:
+            (lu, piv, _), = self._lus
+            X = _getrs(lu, piv, cols, trans=trans)[0]
+        else:
+            X = np.column_stack([_getrs(lu, piv, c[:, None], trans=trans)[0]
+                                 for (lu, piv, _), c in zip(self._lus, cols.T, strict=True)])
+        return X.T.reshape(rhs.shape).swapaxes(-1, -2)
+
+    def _doubling(self, X: np.ndarray, transpose: bool, out: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+        """Sum X + F X F' + F^2 X F^2' + ... (F = sqrt(gamma) G, or its
+        transpose), accumulating in X itself; the symmetrized sum is written
+        to out. out and tmp are work arrays of X's shape."""
+        powers = self._powers
+        for j in range(100):
+            if j == len(powers):
+                powers.append(np.matmul(powers[-1], powers[-1],
+                                        out=np.empty_like(powers[-1])))
+            F = powers[j].swapaxes(-1, -2) if transpose else powers[j]
+            delta = np.matmul(np.matmul(F, X, out=out), F.swapaxes(-1, -2), out=tmp)
+            X += delta
+            # ||delta||_F <= 1e-15 * max(1, ||X||_F), squared
+            if (_sq_norm(delta) <= 1e-30 * np.maximum(_sq_norm(X), 1.0)).all():
+                np.add(X, X.swapaxes(-1, -2), out=out)
+                out /= 2.0
+                return out
+        raise NoConvergence("discounted Lyapunov doubling iteration did not converge")
+
+
+def closed_loop_operator(prob: LqrProblem, Acl: np.ndarray) -> SteinOperator:
+    """The Stein operator of closed loops Acl = A - B K (one or a stack):
+    P solves in Acl' (``solve``), Sigma in Acl (``solve(..., transpose=True)``)."""
+    return SteinOperator(Acl.swapaxes(-1, -2), prob.gamma)
+
+
+def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
+    """Solve X = M + gamma * G X G' once, on a fresh :class:`SteinOperator`."""
+    return SteinOperator(G, gamma).solve(M)
 
 
 def _sq_norm(X: np.ndarray) -> np.ndarray:
@@ -283,27 +337,21 @@ def _residual(G: np.ndarray, M: np.ndarray, X: np.ndarray, gamma: float,
     return np.subtract(out, X, out=out)
 
 
-def _doubling(G: np.ndarray, X: np.ndarray, gamma: float,
-              out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Sum X + F X F' + F^2 X F^2' + ... (F = sqrt(gamma) G) by squaring F,
-    accumulating in X itself; the symmetrized sum is written to out. out and
-    tmp are work arrays of X's shape."""
-    F = np.sqrt(gamma) * G
-    F2 = np.empty_like(F)
-    for _ in range(100):
-        delta = np.matmul(np.matmul(F, X, out=out), F.swapaxes(-1, -2), out=tmp)
-        X += delta
-        F, F2 = np.matmul(F, F, out=F2), F
-        # ||delta||_F <= 1e-15 * max(1, ||X||_F), squared
-        if (_sq_norm(delta) <= 1e-30 * np.maximum(_sq_norm(X), 1.0)).all():
-            np.add(X, X.swapaxes(-1, -2), out=out)
-            out /= 2.0
-            return out
-    raise NoConvergence("discounted Lyapunov doubling iteration did not converge")
+def _checked_stein(prob: LqrProblem, gain: Gain, what: str,
+                   stein: Optional[SteinOperator]) -> SteinOperator:
+    """The Stein operator of a gain's closed loop, built once the gain is
+    found gamma-stabilizing, unless the caller passes the operator it has
+    already built for that checked gain."""
+    if stein is not None:
+        return stein
+    ok, margin = is_gamma_stabilizing(prob, gain)
+    if not ok:
+        raise _not_stabilizing(what, margin)
+    return closed_loop_operator(prob, closed_loop(prob, gain))
 
 
 def solve_value(prob: LqrProblem, gain: Gain, *,
-                checked_Acl: Optional[np.ndarray] = None) -> ValueSolution:
+                stein: Optional[SteinOperator] = None) -> ValueSolution:
     """Value matrix P and offset q for a gamma-stabilizing gain.
 
     P is the fixed point of P = Q + K' R K + gamma * Acl' P Acl and
@@ -311,26 +359,28 @@ def solve_value(prob: LqrProblem, gain: Gain, *,
     and satisfies the fixed point to within ~1e-10 * (1 + ||P||_F).
 
     Raises NotStabilizing for a gain outside the stabilizing set. A caller
-    that has already found the gain gamma-stabilizing passes its closed
-    loop A - B K as ``checked_Acl``; the eigenvalue check is then skipped
-    and the matrix is used as given, so it must be that closed loop.
+    that has already found the gain gamma-stabilizing passes the Stein
+    operator of its closed loop, ``closed_loop_operator(prob, A - B K)``
+    (``Evaluation.stein``), as ``stein``; the eigenvalue check is then
+    skipped and the operator is used as given, so it must be that one.
     """
-    Acl = _checked_closed_loop(prob, gain, "solve_value", checked_Acl)
-    P, q = _value_of(prob, gain.K, Acl)
+    stein = _checked_stein(prob, gain, "solve_value", stein)
+    P, q = _value_of(prob, gain.K, stein)
     return ValueSolution(P, float(q))
 
 
 def _value_of(prob: LqrProblem, K: np.ndarray,
-              Acl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and q of gains K with gamma-stabilizing closed loops Acl = A - B K.
+              stein: SteinOperator) -> tuple[np.ndarray, np.ndarray]:
+    """P and q of gains K, given the operator of their gamma-stabilizing
+    closed loops (:func:`closed_loop_operator`).
 
-    Broadcasts over leading axes: K of shape (..., m, n) and Acl of shape
-    (..., n, n) give P of shape (..., n, n) and q of shape (...), all P
-    solved in one Stein call. The closed loops are not checked here.
+    Broadcasts over leading axes: K of shape (..., m, n) and an operator of
+    a stack of closed loops give P of shape (..., n, n) and q of shape
+    (...), all P solved in one call. The closed loops are not checked here.
     """
     M = prob.Q + K.swapaxes(-1, -2) @ prob.R @ K
     M = (M + M.swapaxes(-1, -2)) / 2.0
-    P = _stein_solve(Acl.swapaxes(-1, -2), M, prob.gamma)
+    P = stein.solve(M)
     q = prob.gamma / (1.0 - prob.gamma) * np.trace(P @ prob.Sigma_w, axis1=-2, axis2=-1)
     return P, q
 
@@ -341,19 +391,20 @@ def _cost_of(prob: LqrProblem, P: np.ndarray, q) -> np.ndarray:
 
 
 def solve_sigma(prob: LqrProblem, gain: Gain, *,
-                checked_Acl: Optional[np.ndarray] = None) -> np.ndarray:
+                stein: Optional[SteinOperator] = None) -> np.ndarray:
     """Discounted state correlation matrix Sigma for a stabilizing gain.
 
     Solves Sigma - gamma * Acl Sigma Acl' = Sigma_0 + gamma/(1-gamma) * Sigma_w.
     The result is symmetric PSD (up to round-off) and satisfies the equation
-    to within ~1e-10 * (1 + ||Sigma||_F).
+    to within ~1e-10 * (1 + ||Sigma||_F). It is the transposed equation of
+    the one P solves, and is solved on the same operator.
 
     Raises NotStabilizing for a gain outside the stabilizing set;
-    ``checked_Acl`` skips that check as in :func:`solve_value`.
+    ``stein`` skips that check as in :func:`solve_value`.
     """
-    Acl = _checked_closed_loop(prob, gain, "solve_sigma", checked_Acl)
+    stein = _checked_stein(prob, gain, "solve_sigma", stein)
     M = prob.Sigma_0 + prob.gamma / (1.0 - prob.gamma) * prob.Sigma_w
-    return _stein_solve(Acl, M, prob.gamma)
+    return stein.solve(M, transpose=True)
 
 
 def performance(prob: LqrProblem, gain: Gain) -> float:
@@ -446,6 +497,7 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
             raise NoConvergence(
                 f"the Riccati gain is not gamma-stabilizing (margin {margin:.3g}); (A, B) "
                 f"is not gamma-stabilizable or Q misses an unstable mode")
-        value = solve_value(prob, best, checked_Acl=closed_loop(prob, best))
+        value = solve_value(prob, best,
+                            stein=closed_loop_operator(prob, closed_loop(prob, best)))
         P = value.P
     return best, value

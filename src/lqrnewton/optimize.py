@@ -2,9 +2,12 @@
 preconditioners (identity, Gauss-Newton, exact Newton), Armijo backtracking,
 and stabilization safeguards.
 
-The update is theta <- theta - alpha * Pinv grad with Pinv the inverse of
-the chosen curvature matrix; for Gauss-Newton, Pinv grad is vec(E^-1 S)
-(Hewer's step), so H_gn is never formed. Trial gains that leave the
+The update is theta <- theta + alpha * d, with d = -grad for first order.
+For Gauss-Newton, d = -vec(E^-1 S) (Hewer's step), so H_gn is never
+formed. For exact Newton, d solves H_exact d = -grad by preconditioned
+conjugate gradients on Hessian-vector products, so H_exact is never formed
+either; negative curvature ends the solve early (truncated Newton-CG,
+Nocedal & Wright, Algorithm 7.1). Trial gains that leave the
 gamma-stabilizing set (where the cost is undefined) are rejected exactly
 like Armijo failures, so no recorded iterate is ever non-stabilizing.
 
@@ -19,11 +22,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DirectionError, LineSearchFailure, NoConvergence, SeedNotStabilizing
 from .lqr import Gain, LqrProblem, optimal_gain
-from .derivatives import Evaluation, Trials, exact_hessian
+from .derivatives import Evaluation, Trials
 from .linalg import vec
 
 METHODS = ("first_order", "gauss_newton", "newton")
@@ -35,6 +37,12 @@ STEP_MODES = ("fixed", "backtracking")
 # 20 us against 110 us) and more from n = 10 on (at n = 20, 6 ms: the LU of
 # the 400 x 400 Stein operator).
 _BLOCK_MAX_DIM = 8
+# Newton-CG stops once ||H d + grad|| <= _CG_RTOL * ||grad||. A fixed
+# tolerance keeps the local quadratic rate (1e-10 does too); the forcing
+# term min(0.5, sqrt(||grad||)) loses it on the pendulum, where ||grad||
+# starts near 1.5e4: acceptance criterion 07 then sees an error ratio
+# e_{k+1} / e_k^2 of 1.9e6 against its limit of 1e3.
+_CG_RTOL = 1e-12
 
 
 def _require_int(value, name: str, least: int) -> None:
@@ -46,14 +54,14 @@ def _require_int(value, name: str, least: int) -> None:
 class OptimizerConfig:
     """Settings for one optimizer run.
 
-    method      : first_order | gauss_newton | newton
+    method      : first_order | gauss_newton | newton; newton's direction
+                  is truncated preconditioned CG on Hessian-vector products
+                  (see search_direction), which has no settings of its own
     step_mode   : "fixed" (always step alpha) or "backtracking" (Armijo,
                   starting from alpha and shrinking)
     alpha       : fixed step, or the initial step for backtracking;
                   positive and finite
     max_backtracks, max_iter : integers, at least 0 and 1
-    newton_damping : base Levenberg shift for non-PD exact Hessians, >= 0
-                  and finite; doubled until a Cholesky factorization succeeds
     seed_gain   : starting gain; None means the zero gain
     """
 
@@ -65,7 +73,6 @@ class OptimizerConfig:
     max_backtracks: int = 60
     grad_tol: float = 1e-8
     max_iter: int = 100
-    newton_damping: float = 1e-8
     seed_gain: Optional[Gain] = None
 
     def __post_init__(self):
@@ -83,8 +90,6 @@ class OptimizerConfig:
             raise ValueError("grad_tol must be positive")
         _require_int(self.max_iter, "max_iter", 1)
         _require_int(self.max_backtracks, "max_backtracks", 0)
-        if not 0.0 <= self.newton_damping < np.inf:
-            raise ValueError("newton_damping must be finite and >= 0")
 
 
 @dataclass
@@ -122,34 +127,64 @@ class RunRecord:
         return np.array([getattr(s, name) for s in self.steps])
 
 
-def _damped_newton(H: np.ndarray, g: np.ndarray, damping: float) -> np.ndarray:
-    """The Levenberg-shifted step -(H + lambda I)^-1 g of search_direction."""
-    shifts = [0.0]
-    if damping > 0:
-        shifts += [damping * 2.0 ** j for j in range(60)]
-    for lam in shifts:
-        try:
-            c = scipy.linalg.cho_factor(H + lam * np.eye(H.shape[0]))
+def _newton_cg(ev: Evaluation) -> np.ndarray:
+    """The Newton direction of search_direction: H_exact d = -grad solved
+    by preconditioned CG on ``ev.hvp``.
+
+    The preconditioner is the inverse Gauss-Newton map
+    r -> vec(E^-1 R Sigma^-1) / 2, with Sigma's Cholesky factor computed
+    once, or r -> vec(E^-1 R) / 2 where Sigma has none. CG stops when the
+    residual falls to _CG_RTOL * ||grad||, after m*n iterations, or at the
+    first direction p with p'Hp <= 0: at the first iteration it then
+    returns Hewer's step -vec(E^-1 S), later the iterate it has reached,
+    which is a descent direction since every curvature before was positive.
+    """
+    g, m, n = ev.grad, ev.prob.m, ev.prob.n
+    E_inv = np.linalg.inv(ev.E) / 2.0
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(ev.Sigma))
+        Sigma_inv = L_inv.T @ L_inv
+    except np.linalg.LinAlgError:
+        Sigma_inv = np.eye(n)
+
+    def precondition(r):
+        # r.reshape(n, m) is R'; the row-major ravel of (E^-1 R Sigma^-1)'
+        # is vec(E^-1 R Sigma^-1)
+        return (Sigma_inv @ r.reshape(n, m) @ E_inv).ravel()
+
+    d = np.zeros_like(g)
+    r = -g
+    z = precondition(r)
+    p, rz = z, float(r @ z)
+    stop = (_CG_RTOL * np.linalg.norm(g)) ** 2
+    for i in range(m * n):
+        Hp = ev.hvp(p)
+        curvature = float(p @ Hp)
+        if curvature <= 0.0:
+            return -vec(ev.hewer_step) if i == 0 else d
+        step = rz / curvature
+        d = d + step * p
+        r = r - step * Hp
+        if r @ r <= stop:
             break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        raise DirectionError(
-            "no positive-definite shift of the exact Hessian found in 60 doublings")
-    return -scipy.linalg.cho_solve(c, g)
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return d
 
 
-def search_direction(method: str, ev: Evaluation, damping: float = 1e-8) -> np.ndarray:
+def search_direction(method: str, ev: Evaluation) -> np.ndarray:
     """Descent direction for the given preconditioner at an iterate's
     Evaluation.
 
     first_order: -grad. gauss_newton: Hewer's step -vec(E^-1 S), which is
     -H_gn^-1 grad wherever Sigma is invertible and is defined wherever E
-    is. newton: -(H_exact + lambda I)^-1 grad with H_exact from
-    :func:`exact_hessian` and lambda the smallest value in
-    {0, damping * 2^j, j < 60} whose shift factorizes (Cholesky). A zero
-    gradient gives a zero direction. Raises DirectionError when no shift
-    works or the result is not a descent direction.
+    is. newton: -H_exact^-1 grad by truncated preconditioned CG on
+    Hessian-vector products (see :func:`_newton_cg`), so neither H_exact
+    nor the dP stack is formed; where CG meets negative curvature the
+    direction is Hewer's step or the CG iterate reached. A zero gradient
+    gives a zero direction. Raises DirectionError when the result is not a
+    descent direction.
     """
     g = ev.grad
     if not np.any(g):
@@ -159,7 +194,7 @@ def search_direction(method: str, ev: Evaluation, damping: float = 1e-8) -> np.n
     if method == "gauss_newton":
         d = -vec(ev.hewer_step)
     elif method == "newton":
-        d = _damped_newton(exact_hessian(ev.prob, ev.gain, ev).H_exact, g, damping)
+        d = _newton_cg(ev)
     else:
         raise ValueError(f"unknown method {method!r}")
     if float(d @ g) >= 0.0:
@@ -279,7 +314,7 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
             break
 
         try:
-            direction = search_direction(cfg.method, ev, cfg.newton_damping)
+            direction = search_direction(cfg.method, ev)
         except DirectionError as exc:
             record(0.0, 0)
             rec.flag = "direction_error"

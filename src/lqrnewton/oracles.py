@@ -21,7 +21,7 @@ from .errors import NoConvergence, NotStabilizing, PerturbationLeftStabilizingSe
 from .linalg import kron, psd_sqrt, spectral_radius, unvec, vec
 from .lqr import Gain, LqrProblem, closed_loop, is_gamma_stabilizing, performance, \
     solve_sigma, solve_value
-from .derivatives import jacobian_vecP
+from .derivatives import jacobian_vecP, policy_gradient
 
 
 class ScalarReport(NamedTuple):
@@ -120,6 +120,29 @@ def fd_hessian(prob: LqrProblem, gain: Gain, h: float = 1e-4) -> np.ndarray:
                 / (4.0 * steps[i] * steps[j])
             H[j, i] = H[i, j]
     return (H + H.T) / 2.0
+
+
+def fd_hvp(prob: LqrProblem, gain: Gain, v: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central difference of the policy gradient along v, an oracle for
+    H_exact @ v that evaluates gradients only:
+
+        (grad(theta + s v) - grad(theta - s v)) / (2 s),  s = h max(1, ||theta||) / ||v||
+
+    Both probe gains must stay inside the stabilizing set, otherwise
+    PerturbationLeftStabilizingSet.
+    """
+    theta0 = gain.theta
+    v = np.asarray(v, dtype=float)
+    s = h * max(1.0, float(np.linalg.norm(theta0))) / float(np.linalg.norm(v))
+    grads = []
+    for sign in (1.0, -1.0):
+        probe = Gain.from_theta(theta0 + sign * s * v, prob.m, prob.n)
+        ok, margin = is_gamma_stabilizing(prob, probe)
+        if not ok:
+            raise PerturbationLeftStabilizingSet(
+                f"finite-difference probe left the stabilizing set (margin {margin:.3e})")
+        grads.append(policy_gradient(prob, probe))
+    return (grads[0] - grads[1]) / (2.0 * s)
 
 
 def discounted_moment_series(prob: LqrProblem, gain: Gain,

@@ -2,8 +2,8 @@
 
 Each check pits a closed-form computation against an independent oracle
 (scalar closed forms, finite differences, the term-by-term moment series,
-the columnwise Lambda assembly, or Monte Carlo rollouts) on deterministic
-fixtures, and reports pass/fail with the observed error.
+the columnwise Lambda assembly, the dense Hessian, or Monte Carlo rollouts)
+on deterministic fixtures, and reports pass/fail with the observed error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .lqr import (Gain, LqrProblem, is_gamma_stabilizing, optimal_gain,
                   performance, solve_sigma)
 from .derivatives import exact_hessian, jacobian_vecP, lambda_term, policy_gradient
-from .oracles import (discounted_moment_series, fd_gradient, fd_hessian,
+from .oracles import (discounted_moment_series, fd_gradient, fd_hessian, fd_hvp,
                       lambda_via_Mi, monte_carlo_J, scalar_reference)
 from .benchmarks import make_pendulum
 
@@ -117,6 +117,24 @@ def check_fd_hessian(seeds=range(3), tol: float = 1e-4) -> CheckResult:
                        f"max rel err {worst:.3e} (tol {tol:.0e})")
 
 
+def check_hvp(seeds=range(5), tol: float = 1e-12, fd_tol: float = 1e-6) -> CheckResult:
+    """Hessian-vector products against the dense H_exact and against
+    central differences of the gradient, along a random direction."""
+    worst, worst_fd = 0.0, 0.0
+    for seed in seeds:
+        prob, gain = random_stabilizing_instance(seed)
+        ev = exact_hessian(prob, gain)
+        v = np.random.default_rng(seed).standard_normal(prob.m * prob.n)
+        hv, want = ev.hvp(v), ev.H_exact @ v
+        worst = max(worst, _rel(np.linalg.norm(hv - want), np.linalg.norm(want)))
+        fd = fd_hvp(prob, gain, v)
+        worst_fd = max(worst_fd, _rel(np.linalg.norm(hv - fd), np.linalg.norm(fd)))
+    ok = worst <= tol and worst_fd <= fd_tol
+    return CheckResult("Hessian-vector product vs H_exact and gradient differences", ok,
+                       f"max rel err {worst:.3e} (tol {tol:.0e}), vs differences "
+                       f"{worst_fd:.3e} (tol {fd_tol:.0e})")
+
+
 def check_lambda_paths(seeds=range(5), tol: float = 1e-10) -> CheckResult:
     worst = 0.0
     for seed in seeds:
@@ -168,7 +186,7 @@ def check_monte_carlo(samples: int = 2000, seed: int = 0) -> CheckResult:
                        f"|mc - exact| = {err:.4g} vs 3*SE = {3 * est.std_error:.4g}")
 
 
-ALL_CHECKS = (check_scalar_grid, check_fd_gradient, check_fd_hessian,
+ALL_CHECKS = (check_scalar_grid, check_fd_gradient, check_fd_hessian, check_hvp,
               check_lambda_paths, check_moment_series,
               check_optimum_identities, check_monte_carlo)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lqrnewton import Gain, LqrProblem
+from lqrnewton import Gain, LqrProblem, make_shear_building, zoh_discretize
+from lqrnewton.benchmarks import DEFAULT_TS
 from lqrnewton.validate import random_stabilizing_instance
 
 # scalar fixture used throughout: s' = s + u + w, Q = R = 0.5, gamma = 0.9,
@@ -42,6 +43,22 @@ def make_instances(count: int = 20):
         n, m = pairs[i % len(pairs)]
         out.append(random_stabilizing_instance(seed=100 + i, n=n, m=m))
     return out
+
+
+def multi_actuator_building(floors: int, seed: int = 7) -> LqrProblem:
+    """make_shear_building's plant with an actuator on every floor:
+    B_c = [0; I_N] and R = 0.01 I_N, so m = floors and m*n = 2 floors^2.
+    A and B are the zero-order hold of that continuous plant (A agrees with
+    make_shear_building's to round-off); Q and both covariances are its own."""
+    base = make_shear_building(floors=floors, seed=seed)
+    N = floors
+    Ks = 1000.0 * (2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1))
+    Ks[-1, -1] = 1000.0
+    A_c = np.block([[np.zeros((N, N)), np.eye(N)], [-Ks, -0.01 * Ks]])
+    A, B = zoh_discretize(A_c, np.vstack([np.zeros((N, N)), np.eye(N)]), DEFAULT_TS)
+    np.testing.assert_allclose(A, base.A, rtol=0, atol=1e-12)
+    return LqrProblem(A=A, B=B, Q=base.Q, R=0.01 * np.eye(N), gamma=base.gamma,
+                      Sigma_w=base.Sigma_w, Sigma_0=base.Sigma_0)
 
 
 @pytest.fixture(scope="session")

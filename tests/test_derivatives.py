@@ -3,15 +3,16 @@ import pytest
 
 from lqrnewton import lqr
 from lqrnewton import (Evaluation, Gain, LqrProblem, exact_hessian,
-                       gn_hessian, initial_gain, is_gamma_stabilizing,
-                       jacobian_vecP, lambda_term,
-                       make_shear_building, optimal_gain, policy_gradient,
-                       solve_sigma, solve_value, vec)
+                       gn_hessian, hessian_vector_product, initial_gain,
+                       is_gamma_stabilizing, jacobian_vecP, lambda_term,
+                       make_pendulum, make_shear_building, optimal_gain,
+                       policy_gradient, solve_sigma, solve_value, vec)
 from lqrnewton.errors import NotStabilizing, SingularT
-from lqrnewton.oracles import fd_gradient, fd_hessian, scalar_reference
+from lqrnewton.oracles import fd_gradient, fd_hessian, fd_hvp, scalar_reference
 
 from conftest import (DP_05, GRAD_05, HEXACT_05, HGN_05, LAM_05, SCALAR,
-                      make_instances, rel_err, scalar_problem)
+                      count_calls, make_instances, multi_actuator_building,
+                      rel_err, scalar_problem)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,26 @@ class TestEvaluation:
             ev.P
         with pytest.raises(NotStabilizing):
             ev.Sigma
+        with pytest.raises(NotStabilizing):
+            ev.hvp(np.ones(1))
+
+    def test_pieces_are_kept_in_the_instance_and_can_be_assigned(self, instances6):
+        prob, gain = instances6[1]
+        ev = Evaluation(prob, gain)
+        assert "P" not in ev.__dict__ and "_value" not in ev.__dict__
+        P = ev.P
+        assert ev.P is P and ev.__dict__["_value"].P is P
+        ev.J = 1.5  # an assigned value shadows the computation
+        assert ev.J == 1.5
+
+    def test_one_operator_factored_once_serves_every_solve(self, instances6, monkeypatch):
+        prob, gain = instances6[3]
+        getrf = count_calls(monkeypatch, lqr, "_getrf")
+        ev = Evaluation(prob, gain)
+        ev.hvp(np.ones(prob.m * prob.n))
+        ev.H_exact
+        assert len(getrf) == 1
+        assert ev.__dict__["stein"] is ev.stein
 
 
 class TestPolicyGradient:
@@ -218,3 +239,53 @@ class TestExactHessian:
                 assert rel_err(rep.Lambda[0, 0], ref.lam) <= 1e-12
                 assert rel_err(rep.H_exact[0, 0], ref.hess_exact) <= 1e-12
                 assert rel_err(rep.jac_vecP[0, 0], ref.dp_dtheta) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def hvp_cases():
+    pendulum = make_pendulum()
+    building = make_shear_building(floors=3, seed=7)
+    multi = multi_actuator_building(6)
+    return [*make_instances(20), (pendulum, initial_gain(pendulum)),
+            (building, initial_gain(building)),
+            (multi, initial_gain(multi, r_inflation=2.0))]
+
+
+class TestHessianVectorProduct:
+    @pytest.mark.parametrize("case", range(23))
+    def test_matches_the_dense_hessian(self, hvp_cases, case):
+        # make_instances(20), the pendulum, a 3-floor building and the
+        # 6-floor building with an actuator on every floor (m*n = 72)
+        prob, gain = hvp_cases[case]
+        ev = exact_hessian(prob, gain)
+        rng = np.random.default_rng(case)
+        for _ in range(3):
+            v = rng.standard_normal(prob.m * prob.n)
+            assert rel_err(ev.hvp(v), ev.H_exact @ v) <= 1e-12
+
+    @pytest.mark.parametrize("case", range(23))
+    def test_matches_gradient_differences(self, hvp_cases, case):
+        prob, gain = hvp_cases[case]
+        v = np.random.default_rng(case).standard_normal(prob.m * prob.n)
+        hv = hessian_vector_product(prob, gain, v)
+        assert rel_err(hv, fd_hvp(prob, gain, v)) <= 1e-6
+
+    def test_doubling_branch_matches_the_dense_hessian(self):
+        # n = 48 solves both equations by doubling on one set of powers
+        prob = make_shear_building(floors=24, seed=0)
+        ev = exact_hessian(prob, initial_gain(prob, r_inflation=2.0))
+        v = np.random.default_rng(0).standard_normal(prob.n)
+        assert rel_err(ev.hvp(v), ev.H_exact @ v) <= 1e-12
+
+    def test_equals_the_dense_scalar_hessian(self, scalar_prob, scalar_gain):
+        hv = hessian_vector_product(scalar_prob, scalar_gain, np.array([2.0]))
+        assert hv[0] == pytest.approx(2.0 * HEXACT_05, rel=1e-13)
+
+    def test_singular_near_boundary(self):
+        gamma, n = 0.9, 2
+        A = np.zeros((n, n))
+        A[0, 0] = (1.0 - 1e-15) / np.sqrt(gamma)
+        p = LqrProblem(A=A, B=np.ones((n, 1)), Q=np.eye(n), R=[[1.0]],
+                       gamma=gamma, Sigma_w=np.zeros((n, n)), Sigma_0=np.eye(n))
+        with pytest.raises(SingularT):
+            hessian_vector_product(p, Gain(np.zeros((1, n))), np.ones(n))

@@ -290,4 +290,4 @@ class TestCli:
         assert cli.main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") >= 7
+        assert out.count("PASS") >= 8

@@ -153,7 +153,7 @@ class TestSolveValue:
         g = Gain([[0.1, 0.2], [0.0, 0.3]])
         want = solve_value(p, g)
         calls = count_calls(monkeypatch, np.linalg, "eigvals")
-        got = solve_value(p, g, checked_Acl=closed_loop(p, g))
+        got = solve_value(p, g, stein=lqr.closed_loop_operator(p, closed_loop(p, g)))
         assert calls == []
         np.testing.assert_array_equal(got.P, want.P)
         assert got.q == want.q
@@ -284,6 +284,68 @@ class TestSteinSolve:
             else:
                 assert rel_err(X[k], want) <= 1e-13
 
+    @pytest.mark.parametrize("n", [3, 25])
+    def test_transposed_solve_is_the_equation_in_the_transpose(self, n):
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((n, n))
+        G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+        M = rng.standard_normal((2, n, n))
+        M = M + M.transpose(0, 2, 1)
+        op = lqr.SteinOperator(G, 0.9)
+        X = op.solve(M, transpose=True)
+        np.testing.assert_array_equal(X, X.swapaxes(1, 2))
+        assert rel_err(X, lqr._stein_solve(G.T, M, 0.9)) <= 1e-13
+        for k in range(2):
+            resid = M[k] + 0.9 * G.T @ X[k] @ G - X[k]
+            assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(X[k]))
+
+    def test_operator_is_factored_once(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        G = rng.standard_normal((3, 3))
+        G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+        getrf = count_calls(monkeypatch, lqr, "_getrf")
+        op = lqr.SteinOperator(G, 0.9)
+        for transpose in (False, True, False):
+            op.solve(np.eye(3), transpose=transpose)
+        assert len(getrf) == 1
+
+    def test_doubling_powers_are_computed_once_and_shared(self):
+        n = 25
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((n, n))
+        G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+        op = lqr.SteinOperator(G, 0.9)
+        assert len(op._powers) == 1
+        X = op.solve(np.eye(n))
+        powers = list(op._powers)
+        assert len(powers) > 1
+        # a second solve, in G or in G', reads the same powers, extending
+        # the list only as far as its own iteration needs
+        Y = op.solve(np.eye(n), transpose=True)
+        assert all(a is b for a, b in zip(powers, op._powers))
+        assert X.tobytes() == op.solve(np.eye(n)).tobytes()
+        assert rel_err(Y, lqr._stein_solve(G.T, np.eye(n), 0.9)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [4, 25])
+    def test_a_slice_shares_the_stack_factors(self, n):
+        rng = np.random.default_rng(6)
+        Gs = rng.standard_normal((3, n, n))
+        Gs *= (0.8 / np.max(np.abs(np.linalg.eigvals(Gs)), axis=-1))[:, None, None]
+        op = lqr.SteinOperator(Gs, 0.9)
+        op.solve(np.stack([np.eye(n)] * 3))  # extends a doubling stack's powers
+        for j in range(3):
+            part = op.slice(j)
+            for transpose in (False, True):
+                got = part.solve(np.eye(n), transpose=transpose)
+                want = lqr.SteinOperator(Gs[j], 0.9).solve(np.eye(n), transpose=transpose)
+                if n <= lqr._DIRECT_SOLVE_MAX_DIM:
+                    assert part._lus[0] is op._lus[j]
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    shared = zip(part._powers, op._powers)
+                    assert all(np.shares_memory(F, G) for F, G in shared)
+                    assert rel_err(got, want) <= 1e-13
+
     def test_direct_operator_equals_the_kronecker_form(self, monkeypatch):
         rng = np.random.default_rng(5)
         G = rng.standard_normal((4, 4))
@@ -312,7 +374,7 @@ class TestSteinSolve:
         elif case == "corrected":
             # a closed loop this close to the boundary misses the bound once
             G, M = _near_boundary(n, 1e-3, gamma), np.stack([np.eye(n), np.ones((n, n))])
-        calls = count_calls(monkeypatch, lqr, "_doubling")
+        calls = count_calls(monkeypatch, lqr.SteinOperator, "_doubling")
         X = lqr._stein_solve(G, M, gamma)
         assert len(calls) == (2 if case == "corrected" else 1)
         want = _doubling_solve_reference(G, M, gamma)

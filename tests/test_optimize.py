@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lqrnewton import lqr
+from lqrnewton import derivatives, lqr, optimize
 from lqrnewton import (Evaluation, Gain, LqrProblem, OptimizerConfig,
                        backtracking_search, initial_gain, is_gamma_stabilizing,
                        make_pendulum, make_shear_building, optimal_gain,
                        performance, policy_gradient, run, search_direction)
 from lqrnewton.errors import (DirectionError, LineSearchFailure, NoConvergence,
                               SeedNotStabilizing)
-from lqrnewton.optimize import _backtrack, _damped_newton
+from lqrnewton.linalg import vec
+from lqrnewton.optimize import _backtrack
 
-from conftest import (GRAD_05, HEXACT_05, count_calls, make_instances, rel_err,
-                      stack_slices)
+from conftest import (GRAD_05, HEXACT_05, count_calls, make_instances,
+                      multi_actuator_building, rel_err, stack_slices)
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +75,6 @@ class TestSearchDirection:
         assert d[0] == pytest.approx(-GRAD_05 / HEXACT_05, rel=1e-12)
         assert d[0] == pytest.approx(0.07587412587412587, rel=1e-10)
 
-    def test_indefinite_hessian_gets_shifted(self):
-        d = _damped_newton(np.array([[-1.0]]), np.array([1.0]), damping=1e-8)
-        assert d[0] < 0  # still a descent direction after the shift
-
-    def test_direction_error_when_shift_exhausted(self):
-        with pytest.raises(DirectionError):
-            _damped_newton(np.array([[-1e12]]), np.array([1.0]), damping=1e-8)
-
     def test_gauss_newton_on_singular_sigma(self):
         # the second state starts at zero and is never driven, so Sigma and
         # H_gn = 2 Sigma (x) E are singular; Hewer's step needs only E
@@ -100,6 +93,63 @@ class TestSearchDirection:
         rec = run(prob, cfg)
         assert rec.converged and rec.iterations == 4
         assert rec.steps[-1].gain_error <= 1e-12
+
+
+class TestNewtonCG:
+    def test_reaches_the_tolerance_from_an_indefinite_start(self):
+        # one actuator per floor, 6 floors: m*n = 72, and the exact Hessian
+        # at the starting gain has a negative eigenvalue
+        prob = multi_actuator_building(6)
+        seed = initial_gain(prob, r_inflation=2.0)
+        ev = Evaluation(prob, seed)
+        assert np.linalg.eigvalsh(ev.H_exact)[0] == pytest.approx(-3.98e-2, abs=1e-4)
+        cfg = OptimizerConfig(method="newton", seed_gain=seed, grad_tol=1e-8, max_iter=40)
+        rec = run(prob, cfg)
+        assert rec.converged and rec.flag is None and rec.iterations <= 20
+        # Armijo compares costs near J = 1.2e4, so below ||grad|| ~ 1e-8 it
+        # decides on round-off; full steps from there show the rate
+        cfg = OptimizerConfig(method="newton", step_mode="fixed", alpha=1.0,
+                              seed_gain=rec.final_gain, grad_tol=1e-10, max_iter=2)
+        rec = run(prob, cfg, k_star=rec.k_star)
+        assert rec.converged and rec.flag is None
+        assert rec.steps[-1].gain_error <= 1e-9 * np.linalg.norm(rec.k_star.K)
+
+    def test_negative_curvature_first_returns_hewer_step(self, pendulum):
+        prob, _, seed = pendulum
+        ev = Evaluation(prob, seed)
+        ev.hvp = lambda v: -v  # every direction has negative curvature
+        np.testing.assert_array_equal(search_direction("newton", ev),
+                                      -vec(ev.hewer_step))
+
+    def test_negative_curvature_later_returns_the_iterate(self, pendulum):
+        prob, _, seed = pendulum
+        ev = Evaluation(prob, seed)
+        calls = []
+
+        def hvp(v):
+            # positive curvature on the first direction, negative after
+            calls.append(v)
+            return v if len(calls) == 1 else -v
+
+        ev.hvp = hvp
+        d = search_direction("newton", ev)
+        p = calls[0]
+        # one CG step along p with step r'z / p'p, where r = -grad, z = p
+        step = float(-ev.grad @ p) / float(p @ p)
+        np.testing.assert_allclose(d, step * p, rtol=1e-14)
+        assert len(calls) == 2 and float(d @ ev.grad) < 0.0
+
+    def test_singular_sigma_gives_a_descent_direction(self):
+        # the plant of test_gauss_newton_on_singular_sigma: Sigma has no
+        # Cholesky factor, so the preconditioner uses E alone
+        prob = LqrProblem(A=np.diag([0.5, 0.8]), B=[[1.0], [0.0]], Q=np.eye(2),
+                          R=[[1.0]], gamma=0.9, Sigma_w=np.zeros((2, 2)),
+                          Sigma_0=np.diag([1.0, 0.0]))
+        ev = Evaluation(prob, Gain([[0.1, 0.2]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(ev.Sigma)
+        d = search_direction("newton", ev)
+        assert np.all(np.isfinite(d)) and float(d @ ev.grad) < 0.0
 
 
 class TestBacktracking:
@@ -165,11 +215,8 @@ class TestConfigValidation:
             OptimizerConfig(c_armijo=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(newton_damping=-1.0)
         for bad in ({"alpha": np.inf}, {"alpha": np.nan}, {"max_iter": 2.5},
-                    {"max_iter": True}, {"max_backtracks": -1}, {"max_backtracks": "x"},
-                    {"newton_damping": np.inf}, {"newton_damping": np.nan}):
+                    {"max_iter": True}, {"max_backtracks": -1}, {"max_backtracks": "x"}):
             with pytest.raises(ValueError):
                 OptimizerConfig(**bad)
 
@@ -271,27 +318,42 @@ class TestRun:
 class TestComputeOnce:
     def test_newton_evaluates_each_iterate_once(self, pendulum, monkeypatch):
         prob, k_star, seed = pendulum
-        stein = count_calls(monkeypatch, lqr, "_stein_solve")
+        P = count_calls(monkeypatch, derivatives, "solve_value")
+        Sigma = count_calls(monkeypatch, derivatives, "solve_sigma")
+        stein = count_calls(monkeypatch, lqr.SteinOperator, "solve")
+        getrf = count_calls(monkeypatch, lqr, "_getrf")
+        hvp = count_calls(monkeypatch, Evaluation, "hvp")
+        hessian = count_calls(monkeypatch, derivatives, "exact_hessian")
+        directions = count_calls(monkeypatch, optimize, "search_direction")
         eig = count_calls(monkeypatch, np.linalg, "eigvals")
         cfg = OptimizerConfig(method="newton", step_mode="fixed", alpha=1.0,
                               seed_gain=seed, grad_tol=1e-8, max_iter=40)
         rec = run(prob, cfg, k_star=k_star)
         assert rec.converged and len(rec.gains) > 2
         # one P and one Sigma per iterate; one eigenvalue solve per iterate,
-        # which is its stability check and the Jacobian's conditioning estimate
-        assert len(stein) == 2 * len(rec.gains)
+        # which is its stability check and the operator's conditioning
+        # estimate; one operator factorization per iterate (n = 2), which
+        # also serves both solves of every Hessian-vector product
+        assert len(P) == len(Sigma) == len(rec.gains)
         assert len(eig) == len(rec.gains)
+        assert len(getrf) == len(rec.gains)
+        assert 0 < len(hvp) <= prob.m * prob.n * (len(rec.gains) - 1)
+        assert len(stein) == 2 * len(rec.gains) + 2 * len(hvp)
+        # the direction is matrix-free: no dense Hessian and no dP stack
+        assert hessian == []
+        assert len(directions) == len(rec.gains) - 1
+        assert all("dP" not in ev.__dict__ for _, ev in directions)
 
     def test_backtracking_never_solves_a_gain_twice(self, pendulum, monkeypatch):
         prob, k_star, seed = pendulum
-        stein = count_calls(monkeypatch, lqr, "_stein_solve")
+        stein = count_calls(monkeypatch, lqr.SteinOperator, "solve")
         eig = count_calls(monkeypatch, np.linalg, "eigvals")
         cfg = OptimizerConfig(method="first_order", step_mode="backtracking",
                               seed_gain=seed, grad_tol=1e-8, max_iter=30)
         rec = run(prob, cfg, k_star=k_star)
         assert rec.iterations == 30 and rec.column("backtracks").sum() > 0
         keys = [(g.tobytes(), m.tobytes())
-                for G, M, _ in stein for g, m in stack_slices(G, M)]
+                for op, M, *_ in stein for g, m in stack_slices(op.G, M)]
         assert len(keys) == len(set(keys))
         # the seed and every line-search trial, each checked once, plus the
         # trials a search computes past its accepted one: its first block
@@ -392,14 +454,14 @@ class TestLadder:
         ev, d = _search_start(prob, "first_order")
         cfg = OptimizerConfig(alpha=1.0)
         want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg)
-        solve = lqr._stein_solve
+        solve = lqr.SteinOperator.solve
 
-        def single_slices_only(G, M, gamma):
-            if G.ndim == 3 and len(G) > 1:
+        def single_slices_only(op, M, transpose=False):
+            if op.G.ndim == 3 and len(op.G) > 1:
                 raise NoConvergence("stacked solve refused")
-            return solve(G, M, gamma)
+            return solve(op, M, transpose)
 
-        monkeypatch.setattr(lqr, "_stein_solve", single_slices_only)
+        monkeypatch.setattr(lqr.SteinOperator, "solve", single_slices_only)
         self.assert_same(_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=60),
                          want)
 
