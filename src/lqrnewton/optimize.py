@@ -34,8 +34,10 @@ STEP_MODES = ("fixed", "backtracking")
 # by the previous search's depth. A block saves one call per trial it holds
 # and wastes one slice per trial past the accepted one. On a 2-core x86 VM
 # with one BLAS thread, a slice cost less than a call up to n = 8 (at n = 2,
-# 20 us against 110 us) and more from n = 10 on (at n = 20, 6 ms: the LU of
-# the 400 x 400 Stein operator).
+# 20 us against 110 us). Blocks stay on the Kronecker branch (n <= 10),
+# where each slice has the bits of a solve of its own. A doubling stack runs
+# its slowest slice's depth, so its slices would not, though a slice there
+# costs less than a call (0.03 against 0.17 ms at n = 12).
 _BLOCK_MAX_DIM = 8
 # Newton-CG stops once ||H d + grad|| <= _CG_RTOL * ||grad||. A fixed
 # tolerance keeps the local quadratic rate (1e-10 does too); the forcing

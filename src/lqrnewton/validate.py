@@ -17,7 +17,7 @@ from .lqr import (Gain, LqrProblem, is_gamma_stabilizing, optimal_gain,
 from .derivatives import exact_hessian, jacobian_vecP, lambda_term, policy_gradient
 from .oracles import (discounted_moment_series, fd_gradient, fd_hessian, fd_hvp,
                       lambda_via_Mi, monte_carlo_J, scalar_reference)
-from .benchmarks import make_pendulum
+from .benchmarks import initial_gain, make_pendulum, make_shear_building
 
 
 @dataclass
@@ -119,14 +119,19 @@ def check_fd_hessian(seeds=range(3), tol: float = 1e-4) -> CheckResult:
 
 def check_hvp(seeds=range(5), tol: float = 1e-12, fd_tol: float = 1e-6) -> CheckResult:
     """Hessian-vector products against the dense H_exact and against
-    central differences of the gradient, along a random direction."""
+    central differences of the gradient, along a random direction and along
+    that direction scaled by 1e-12, on random instances (n <= 4) and on a
+    24-state building, whose Stein solves run by doubling."""
+    building = make_shear_building(floors=12, seed=7)
+    cases = [(seed, *random_stabilizing_instance(seed)) for seed in seeds]
+    cases.append((7, building, initial_gain(building)))
     worst, worst_fd = 0.0, 0.0
-    for seed in seeds:
-        prob, gain = random_stabilizing_instance(seed)
+    for seed, prob, gain in cases:
         ev = exact_hessian(prob, gain)
         v = np.random.default_rng(seed).standard_normal(prob.m * prob.n)
-        hv, want = ev.hvp(v), ev.H_exact @ v
-        worst = max(worst, _rel(np.linalg.norm(hv - want), np.linalg.norm(want)))
+        hv, small, want = ev.hvp(v), ev.hvp(1e-12 * v) / 1e-12, ev.H_exact @ v
+        err = max(np.linalg.norm(hv - want), np.linalg.norm(small - want))
+        worst = max(worst, _rel(err, np.linalg.norm(want)))
         fd = fd_hvp(prob, gain, v)
         worst_fd = max(worst_fd, _rel(np.linalg.norm(hv - fd), np.linalg.norm(fd)))
     ok = worst <= tol and worst_fd <= fd_tol
@@ -176,7 +181,6 @@ def check_optimum_identities(seeds=range(2), tol: float = 1e-8) -> CheckResult:
 
 def check_monte_carlo(samples: int = 2000, seed: int = 0) -> CheckResult:
     prob = make_pendulum()
-    from .benchmarks import initial_gain
     gain = initial_gain(prob)
     est = monte_carlo_J(prob, gain, samples=samples, seed=seed)
     exact = performance(prob, gain)

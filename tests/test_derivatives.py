@@ -277,6 +277,15 @@ class TestHessianVectorProduct:
         v = np.random.default_rng(0).standard_normal(prob.n)
         assert rel_err(ev.hvp(v), ev.H_exact @ v) <= 1e-12
 
+    @pytest.mark.parametrize("s", [1e-10, 1e-12, 1e-14, 1e-16])
+    def test_doubling_branch_is_linear_at_any_scale(self, s):
+        # both Stein solves of a product scale with the direction, however
+        # small, since the doubling depth depends on the closed loop alone
+        prob = make_shear_building(floors=24, seed=0)
+        ev = Evaluation(prob, initial_gain(prob, r_inflation=2.0))
+        v = np.random.default_rng(0).standard_normal(prob.n)
+        assert rel_err(ev.hvp(s * v) / s, ev.hvp(v)) <= 1e-12
+
     def test_equals_the_dense_scalar_hessian(self, scalar_prob, scalar_gain):
         hv = hessian_vector_product(scalar_prob, scalar_gain, np.array([2.0]))
         assert hv[0] == pytest.approx(2.0 * HEXACT_05, rel=1e-13)

@@ -232,16 +232,16 @@ def _near_boundary(n, margin, gamma=0.9):
 
 
 def _doubling_reference(G, M, gamma):
-    # the allocating loop that the buffered _doubling replaced, kept as the
-    # reference it must equal bit for bit
+    # the allocating loop of the fixed-depth rule, kept as the reference the
+    # buffered _doubling must equal bit for bit: add levels until
+    # ||F^(2^j)||_F^2 <= 2^-52 in every slice
     X = M
     F = np.sqrt(gamma) * G
     for _ in range(100):
-        delta = F @ X @ F.swapaxes(-1, -2)
-        X = X + delta
-        F = F @ F
-        if (lqr._sq_norm(delta) <= 1e-30 * np.maximum(lqr._sq_norm(X), 1.0)).all():
+        if (np.sum(F * F, axis=(-2, -1)) <= 2.0 ** -52).all():
             return (X + X.swapaxes(-1, -2)) / 2.0
+        X = X + F @ X @ F.swapaxes(-1, -2)
+        F = F @ F
     raise NoConvergence("reference doubling did not converge")
 
 
@@ -257,9 +257,9 @@ def _doubling_solve_reference(G, M, gamma):
 
 
 class TestSteinSolve:
-    @pytest.mark.parametrize("n", [3, 25])
+    @pytest.mark.parametrize("n", [3, 12, 16, 25])
     def test_stack_equals_per_slice_solves(self, n):
-        # n = 25 exercises the doubling branch, n = 3 the direct solve
+        # n = 3 exercises the direct solve, n >= 12 the doubling branch
         rng = np.random.default_rng(n)
         G = rng.standard_normal((n, n))
         G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
@@ -309,21 +309,41 @@ class TestSteinSolve:
             op.solve(np.eye(3), transpose=transpose)
         assert len(getrf) == 1
 
-    def test_doubling_powers_are_computed_once_and_shared(self):
+    def test_doubling_powers_are_computed_once_and_shared(self, monkeypatch):
         n = 25
         rng = np.random.default_rng(4)
         G = rng.standard_normal((n, n))
         G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+        depths = count_calls(monkeypatch, lqr, "_doubling_powers")
         op = lqr.SteinOperator(G, 0.9)
-        assert len(op._powers) == 1
+        powers = op._powers
+        # the depth L is the first with ||F^(2^L)||_F^2 <= 2^-52
+        F = np.sqrt(0.9) * G
+        for power in powers:
+            np.testing.assert_array_equal(power, F)
+            assert np.sum(F * F) > 2.0 ** -52
+            F = F @ F
+        assert np.sum(F * F) <= 2.0 ** -52
+        L = len(powers)
+        assert L > 1
+
+        levels = []
+
+        class Levels(list):
+            def __iter__(self):
+                for power in super().__iter__():
+                    levels.append(power)
+                    yield power
+
+        op._powers = Levels(powers)
+        # solves in G and in G' each run the L levels, on the same powers
         X = op.solve(np.eye(n))
-        powers = list(op._powers)
-        assert len(powers) > 1
-        # a second solve, in G or in G', reads the same powers, extending
-        # the list only as far as its own iteration needs
+        assert len(levels) == L
         Y = op.solve(np.eye(n), transpose=True)
-        assert all(a is b for a, b in zip(powers, op._powers))
+        assert len(levels) == 2 * L
+        assert all(a is b for a, b in zip(levels, powers + powers, strict=True))
         assert X.tobytes() == op.solve(np.eye(n)).tobytes()
+        assert len(depths) == 1
         assert rel_err(Y, lqr._stein_solve(G.T, np.eye(n), 0.9)) <= 1e-13
 
     @pytest.mark.parametrize("n", [4, 25])
@@ -380,7 +400,8 @@ class TestSteinSolve:
         want = _doubling_solve_reference(G, M, gamma)
         assert X.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n, margin", [(21, 1e-5), (21, 1e-2), (48, 1e-2)])
+    @pytest.mark.parametrize("n, margin", [(12, 1e-5), (12, 1e-2), (16, 1e-5), (16, 1e-2),
+                                           (21, 1e-5), (21, 1e-2), (48, 1e-2)])
     def test_doubling_meets_its_bound_or_refuses(self, n, margin):
         G, M = _near_boundary(n, margin), np.eye(n)
         try:
@@ -389,6 +410,33 @@ class TestSteinSolve:
             return
         resid = np.linalg.norm(M + 0.9 * G @ X @ G.T - X, "fro")
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(X, "fro"))
+
+    @pytest.mark.parametrize("case", ["overflowing power", "unit radius"])
+    def test_doubling_depth_refuses_powers_that_do_not_decay(self, case):
+        n = 12
+        if case == "overflowing power":
+            # stable, but F^2 already has entries of 1e400
+            G = 0.5 * np.eye(n) + 1e200 * np.eye(n, k=1)
+        else:
+            # F = I: no power ever meets the depth test
+            G = np.eye(n) / np.sqrt(0.9)
+        with pytest.raises(NoConvergence):
+            lqr.SteinOperator(G, 0.9)
+
+    @pytest.mark.parametrize("s", [1e-10, 1e-12, 1e-14, 1e-16])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_doubling_is_relative_at_any_scale(self, s, transpose):
+        # the depth is set by G alone, so a small right-hand side is summed
+        # as far as a unit one; an absolute stopping test would stop early
+        n, gamma = 25, 0.9
+        rng = np.random.default_rng(25)
+        G = rng.standard_normal((n, n))
+        G *= 0.99 / (np.sqrt(gamma) * np.max(np.abs(np.linalg.eigvals(G))))
+        M = rng.standard_normal((n, n))
+        M = M + M.T
+        op = lqr.SteinOperator(G, gamma)
+        want = op.solve(M, transpose=transpose)
+        assert rel_err(op.solve(s * M, transpose=transpose) / s, want) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_doubling_refuses_a_solution_whose_norm_overflows(self):
