@@ -58,8 +58,8 @@ import numpy as np
 
 from .errors import SingularT
 from .linalg import kron, vec
-from .lqr import (Gain, LqrProblem, SteinOperator, ValueSolution, _cost_of,
-                  _not_stabilizing, _require_finite, _value_of, closed_loop,
+from .lqr import (Gain, LqrProblem, SteinOperator, ValueSolution, _certified_operator,
+                  _cost_of, _not_stabilizing, _require_finite, _value_of, closed_loop,
                   closed_loop_operator, solve_sigma, solve_value)
 
 _COND_LIMIT = 1e14
@@ -90,13 +90,20 @@ class cached:
 class Evaluation:
     """Every closed-form piece at one gain, each computed at most once.
 
-    Acl = A - B K is formed on construction; the eigenvalues of
-    sqrt(gamma) * Acl, the margin, the Stein operator, P and q, Sigma,
-    Acl Sigma, J, S, E = R + gamma B'PB, grad, H_gn, Hewer's step E^-1 S,
-    the dP stack and jac_vecP, Lambda and H_exact are computed on first
-    read and kept.
-    That one eigenvalue solve is the gain's only stability check: P and
-    Sigma are solved without another, on one operator factored once.
+    Acl = A - B K is formed on construction; the stability check, the Stein
+    operator, the eigenvalues of sqrt(gamma) * Acl and the margin, P and q,
+    Sigma, Acl Sigma, J, S, E = R + gamma B'PB, grad, H_gn, Hewer's step
+    E^-1 S, the dP stack and jac_vecP, Lambda and H_exact are computed on
+    first read and kept.
+    The stability check builds the gain's Stein operator, factored once,
+    on which P, Sigma and every later solve run without another check. For
+    n <= 10 it is one eigenvalue solve (margin > 0). Above, it makes none:
+    the operator's doubling powers certify the gain, and a gain whose
+    powers are refused counts as not stabilizing, even where an eigenvalue
+    solve would give a positive margin (a closed loop so non-normal that
+    its powers overflow before they decay). There the eigenvalues and the
+    margin are computed only when read, and the SingularT test of dP and
+    hvp bounds the operator's conditioning from the doubling depth.
     :meth:`hvp` multiplies by H_exact without forming it. Reading the
     operator, P or Sigma at a non-stabilizing gain raises NotStabilizing,
     and reading dP or calling hvp at a gain numerically on the stabilizing
@@ -116,10 +123,17 @@ class Evaluation:
 
     @cached
     def margin(self) -> float:
-        """1 - rho(sqrt(gamma) * Acl); positive exactly when stabilizing."""
+        """1 - rho(sqrt(gamma) * Acl); positive for every stabilizing gain."""
         return 1.0 - float(np.max(np.abs(self.eigvals)))
 
-    stabilizing = property(lambda self: self.margin > 0.0)
+    @cached
+    def stabilizing(self) -> bool:
+        """Whether the gain is gamma-stabilizing, by the rule of
+        lqr._certified_operator; the operator it builds is kept as stein."""
+        stein = _certified_operator(self.prob, self.Acl, lambda: self.margin)
+        if stein is not None:
+            self.stein = stein
+        return stein is not None
 
     @cached
     def stein(self) -> SteinOperator:
@@ -128,7 +142,7 @@ class Evaluation:
         solve in Acl."""
         if not self.stabilizing:
             raise _not_stabilizing("the Stein operator", self.margin)
-        return closed_loop_operator(self.prob, self.Acl)
+        return self.__dict__["stein"]  # kept there by the check
 
     @cached
     def _value(self) -> ValueSolution:
@@ -184,9 +198,19 @@ class Evaluation:
 
         Its eigenvalues are 1 - mu_i mu_j over the eigenvalues mu of
         sqrt(gamma) * Acl; a gain with 1 / min |1 - mu_i mu_j| above
-        _COND_LIMIT is numerically on the boundary: SingularT.
+        _COND_LIMIT is numerically on the boundary: SingularT. A doubling
+        operator of depth L bounds that gap with no eigenvalue solve:
+        rho <= 2^(-26 / 2^L), so min |1 - mu_i mu_j| >= 1 - 2^(-52 / 2^L),
+        which clears _COND_LIMIT for L up to 51. The eigenvalues decide
+        beyond that, and on the Kronecker branch.
         """
-        stein, mu = self.stein, self.eigvals
+        stein = self.stein
+        if stein.depth is not None:
+            # 1 - 2^(-52 / 2^L), without the cancellation at large L
+            gap = -np.expm1(-52.0 * np.log(2.0) / 2.0 ** stein.depth)
+            if 1.0 / gap <= _COND_LIMIT:
+                return stein
+        mu = self.eigvals
         gap = np.min(np.abs(1.0 - np.multiply.outer(mu, mu)))
         cond = 1.0 / max(gap, 1e-300)
         if cond > _COND_LIMIT:
@@ -277,8 +301,8 @@ class Trials:
         Acl = prob.A - prob.B @ K
         self.prob, self.K, self.Acl = prob, K, Acl
         self.eigvals = np.linalg.eigvals(np.sqrt(prob.gamma) * Acl)
-        margin = 1.0 - np.max(np.abs(self.eigvals), axis=-1)
-        self.stabilizing = s = margin > 0.0
+        self.margin = 1.0 - np.max(np.abs(self.eigvals), axis=-1)
+        self.stabilizing = s = self.margin > 0.0
         self.J = np.full(k, np.nan)
         if s.any():
             if not s.all():
@@ -288,14 +312,17 @@ class Trials:
             self.J[s] = _cost_of(prob, self._P, self._q)
 
     def evaluation(self, j: int) -> Evaluation:
-        """Trial j's Evaluation, carrying the eigenvalues, Stein operator,
-        P, q and J computed here."""
+        """Trial j's Evaluation, carrying the eigenvalues, margin, stability
+        check, Stein operator, P, q and J computed here."""
         ev = Evaluation(self.prob, Gain(self.K[j]))
-        ev.eigvals = self.eigvals[j]
-        if self.stabilizing[j]:
+        ev.eigvals, ev.margin = self.eigvals[j], float(self.margin[j])
+        ev.stabilizing = bool(self.stabilizing[j])
+        if ev.stabilizing:
             i = int(np.count_nonzero(self.stabilizing[:j]))
             ev.stein = self._stein.slice(i)
-            ev._value = ValueSolution(self._P[i], float(self._q[i]))
+            # a slice of the stacked LU solve is strided; the products that
+            # form S from it then round differently from a P of its own
+            ev._value = ValueSolution(np.ascontiguousarray(self._P[i]), float(self._q[i]))
             ev.J = float(self.J[j])
         return ev
 

@@ -194,9 +194,10 @@ def is_gamma_stabilizing(prob: LqrProblem, gain: Gain) -> tuple[bool, float]:
 
 
 def _not_stabilizing(what: str, margin: float) -> NotStabilizing:
+    rho = 1.0 - margin
+    why = ">= 1" if rho >= 1.0 else "< 1, but the doubling powers do not certify it"
     return NotStabilizing(
-        f"{what} requires a gamma-stabilizing gain "
-        f"(rho(sqrt(gamma)*Acl) = {1.0 - margin:.6f} >= 1)")
+        f"{what} requires a gamma-stabilizing gain (rho(sqrt(gamma)*Acl) = {rho:.6f} {why})")
 
 
 class SteinOperator:
@@ -221,6 +222,8 @@ class SteinOperator:
     every solve, in G or in G' (the powers read transposed), sums exactly
     the L levels X + F X F' + F^2 X F^2' + ... . The tail left out is
     F^(2^L) X F^(2^L)', at most 2^-52 ||X||_F whatever the scale of M.
+    L is kept as ``depth`` (None on the Kronecker branch); since
+    rho(F)^(2^L) <= ||F^(2^L)||_F, it bounds rho(F) <= 2^(-26 / 2^L) < 1.
     NoConvergence is raised when a power is not finite or 100 levels do
     not reach the depth test. Each doubled slice must then satisfy
     ||M + gamma G X G' - X||_F <= 1e-10 * (1 + ||X||_F); the slices are
@@ -243,13 +246,15 @@ class SteinOperator:
             self._lus = [_getrf(t, overwrite_a=True) for t in T]
             if any(info != 0 for _, _, info in self._lus):
                 raise np.linalg.LinAlgError("discounted Lyapunov operator is singular")
+            self.depth = None
         else:
             self._powers = _doubling_powers(np.sqrt(gamma) * G)
+            self.depth = len(self._powers)
 
     def slice(self, j: int) -> "SteinOperator":
         """The operator of G[j] for a stacked G, sharing this one's factors."""
         op = object.__new__(SteinOperator)
-        op.G, op.gamma = self.G[j], self.gamma
+        op.G, op.gamma, op.depth = self.G[j], self.gamma, self.depth
         if hasattr(self, "_lus"):
             op._lus = [self._lus[j]]
         else:
@@ -328,6 +333,31 @@ def closed_loop_operator(prob: LqrProblem, Acl: np.ndarray) -> SteinOperator:
     """The Stein operator of closed loops Acl = A - B K (one or a stack):
     P solves in Acl' (``solve``), Sigma in Acl (``solve(..., transpose=True)``)."""
     return SteinOperator(Acl.swapaxes(-1, -2), prob.gamma)
+
+
+def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
+                        margin) -> Optional[SteinOperator]:
+    """The Stein operator of the closed loop Acl = A - B K of a
+    gamma-stabilizing gain, or None for a gain that is not.
+
+    For n <= _DIRECT_SOLVE_MAX_DIM the test is ``margin() > 0``, where
+    ``margin`` is a callable giving 1 - rho(sqrt(gamma) * Acl) from an
+    eigenvalue solve. Above, no eigenvalue is computed: the gain counts as
+    stabilizing when the operator's doubling powers can be formed, since
+    reaching the depth test certifies rho(sqrt(gamma) * Acl) < 1 (see
+    :class:`SteinOperator`), and a NoConvergence from them means it does
+    not. Such a refusal can also come from a closed loop that an
+    eigenvalue solve calls stable: one so non-normal that its powers
+    overflow before they decay. Conversely, the rounded powers of such a
+    loop can decay although it is unstable by 1e-9 to 1e-6; its solves
+    then miss their residual bound and raise NoConvergence.
+    """
+    if prob.n <= _DIRECT_SOLVE_MAX_DIM:
+        return closed_loop_operator(prob, Acl) if margin() > 0.0 else None
+    try:
+        return closed_loop_operator(prob, Acl)
+    except NoConvergence:
+        return None
 
 
 def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
@@ -480,7 +510,10 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
 
     Raises NoConvergence on a non-finite iterate, after max_iter steps, or
     when the K* found is not gamma-stabilizing (e.g. B = 0 with an unstable
-    A, or an unstable mode that Q does not see).
+    A, or an unstable mode that Q does not see). Both gains are checked as
+    :class:`~lqrnewton.derivatives.Evaluation` checks a gain: above
+    n = 10 by the doubling powers of their operators, with no eigenvalue
+    solve unless one is refused, whose margin the error then reports.
     """
     g, n = prob.gamma, prob.n
     A = np.sqrt(g) * prob.A
@@ -511,12 +544,13 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     for _ in range(2):
         E = prob.R + g * prob.B.T @ P @ prob.B
         best = Gain(np.linalg.solve(E, g * prob.B.T @ P @ prob.A))
-        ok, margin = is_gamma_stabilizing(prob, best)
-        if not ok:
+        stein = _certified_operator(prob, closed_loop(prob, best),
+                                    lambda: is_gamma_stabilizing(prob, best)[1])
+        if stein is None:
+            _, margin = is_gamma_stabilizing(prob, best)
             raise NoConvergence(
                 f"the Riccati gain is not gamma-stabilizing (margin {margin:.3g}); (A, B) "
                 f"is not gamma-stabilizable or Q misses an unstable mode")
-        value = solve_value(prob, best,
-                            stein=closed_loop_operator(prob, closed_loop(prob, best)))
+        value = solve_value(prob, best, stein=stein)
         P = value.P
     return best, value

@@ -10,6 +10,8 @@ either; negative curvature ends the solve early (truncated Newton-CG,
 Nocedal & Wright, Algorithm 7.1). Trial gains that leave the
 gamma-stabilizing set (where the cost is undefined) are rejected exactly
 like Armijo failures, so no recorded iterate is ever non-stabilizing.
+Above n = 10 that includes a trial whose doubling powers do not certify
+it (see :class:`~lqrnewton.derivatives.Evaluation`).
 
 A single run is sequential; separate runs share no state and may execute
 concurrently.
@@ -94,11 +96,40 @@ class OptimizerConfig:
         _require_int(self.max_backtracks, "max_backtracks", 0)
 
 
+class _MarginOnRead:
+    """IterateRecord.stabilizing_margin: the float it was given, or, given a
+    (prob, gain) pair, Evaluation(prob, gain).margin, computed on first
+    read and kept in place of the pair."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            raise AttributeError(self.key)  # the field has no default
+        margin = getattr(rec, self.key)
+        if isinstance(margin, tuple):
+            margin = Evaluation(*margin).margin
+            setattr(rec, self.key, margin)
+        return margin
+
+    # plain attribute access, not rec.__dict__, which would give every
+    # record a dictionary of its own in place of its inline attributes
+    def __set__(self, rec, margin):
+        setattr(rec, self.key, margin)
+
+
 @dataclass
 class IterateRecord:
     """State of one recorded iterate plus the step taken from it.
 
     alpha_used and backtracks are zero on the final row (no step taken).
+    stabilizing_margin is 1 - rho(sqrt(gamma) (A - BK)). :func:`run`
+    records it as a float where the iterate's Evaluation computed it (every
+    n <= 10), and otherwise has it computed, by the same eigenvalue solve,
+    when it is first read, so a run above n = 10 makes no eigenvalue solve
+    of its own. The record then keeps a reference to the problem and the
+    gain until that read; equality and repr compare and show the float.
     """
 
     k: int
@@ -107,7 +138,7 @@ class IterateRecord:
     gain_error: float
     alpha_used: float
     backtracks: int
-    stabilizing_margin: float
+    stabilizing_margin: float = _MarginOnRead()
 
 
 @dataclass
@@ -214,17 +245,18 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
     Armijo failures. Raises LineSearchFailure when max_backtracks shrinks
     are exhausted.
 
-    The first block of trials holds trials 0 .. max(depth_hint, 1) - 1,
-    where run passes the depth of its previous search; later trials go one
-    at a time. A block of several trials is evaluated as stacks
-    (:class:`Trials`), and a single trial as an :class:`Evaluation`,
-    which costs less than a stack of one. A block computes trials past the
-    accepted one only when the search ends shallower than the hint, so for
-    n > _BLOCK_MAX_DIM, where such a trial costs more than the call a
-    block saves, every block is one trial. The schedule sets how much work
-    is done, never the result: a block that raises is evaluated again one
-    trial at a time, so an error surfaces only at a trial that a
-    trial-by-trial search reaches.
+    The first block of trials holds trials 0 .. depth_hint, where run
+    passes the depth of its previous search, so that it reaches the trial
+    that search accepted; later trials go one at a time. A block of
+    several trials is evaluated as stacks (:class:`Trials`), and a single
+    trial as an :class:`Evaluation`, which costs less than a stack of one.
+    A block computes trials past the accepted one only when the search ends
+    shallower than the hint, so for n > _BLOCK_MAX_DIM, where such a trial
+    costs more than the call a block saves, every block is one trial. The
+    schedule sets how much work is done, never the result: the accepted
+    trial is handed on with the bits a trial-by-trial search gives it, and
+    a block that raises is evaluated again one trial at a time, so an error
+    surfaces only at a trial that a trial-by-trial search reaches.
     """
     theta0 = gain.theta
     if not np.any(direction):
@@ -238,7 +270,7 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
         return J0 + cfg.c_armijo * alpha * slope
 
     j, alpha = 0, cfg.alpha
-    size = max(depth_hint, 1) if prob.n <= _BLOCK_MAX_DIM else 1
+    size = depth_hint + 1 if prob.n <= _BLOCK_MAX_DIM else 1
     while j <= cfg.max_backtracks:
         size = min(size, cfg.max_backtracks + 1 - j)
         if size == 1:
@@ -291,6 +323,8 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     DirectionError propagates with the partial record attached as
     ``exc.record``. The accepted trial's Evaluation becomes the next
     iterate, so its stability check and value solve are not repeated.
+    Above n = 10 a run makes no eigenvalue solve: the margins it records
+    are computed when read (see :class:`IterateRecord`).
     """
     ev = Evaluation(prob, cfg.seed_gain if cfg.seed_gain is not None else Gain.zero(prob))
     if not ev.stabilizing:
@@ -306,8 +340,9 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
         gain_error = float(np.linalg.norm(gain.K - k_star.K, "fro"))
 
         def record(alpha_used: float, backtracks: int) -> None:
+            margin = ev.__dict__.get("margin", (prob, gain))
             rec.steps.append(IterateRecord(k, ev.J, grad_norm, gain_error,
-                                           alpha_used, backtracks, ev.margin))
+                                           alpha_used, backtracks, margin))
             rec.gains.append(gain)
 
         if grad_norm <= cfg.grad_tol or k == cfg.max_iter:

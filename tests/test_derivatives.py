@@ -173,6 +173,28 @@ class TestJacobianVecP:
             jacobian_vecP(p, Gain(np.zeros((1, n))))
 
 
+class TestConditioningBound:
+    """On the doubling branch the depth L bounds the Stein operator's gap,
+    min |1 - mu_i mu_j| >= 1 - 2^(-52 / 2^L), so the SingularT test needs
+    no eigenvalue solve up to L = 51 and computes the eigenvalues beyond
+    (test_singular_near_boundary[21] reaches that path at L = 55)."""
+
+    @pytest.mark.parametrize("depth, eig_calls", [(None, 0), (51, 0), (52, 1), (60, 1)])
+    def test_eigenvalues_only_past_the_depth_bound(self, monkeypatch, depth, eig_calls):
+        prob = make_shear_building(floors=6, seed=7)
+        gain = initial_gain(prob)
+        v = np.ones(prob.m * prob.n)
+        want = Evaluation(prob, gain).hvp(v)
+        ev = Evaluation(prob, gain)
+        assert ev.stein.depth < 51
+        if depth is not None:
+            ev.stein.depth = depth  # read only by the bound; the solves use the powers
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        got = ev.hvp(v)
+        assert len(eig) == eig_calls
+        assert got.tobytes() == want.tobytes()
+
+
 class TestLambdaTerm:
     def test_scalar_value(self, scalar_prob, scalar_gain):
         jac = jacobian_vecP(scalar_prob, scalar_gain)

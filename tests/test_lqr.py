@@ -441,13 +441,12 @@ class TestSteinSolve:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_doubling_refuses_a_solution_whose_norm_overflows(self):
         # ||X||_F is far beyond 1e154, so the squared norms in the residual
-        # gate overflow; inf <= inf must not pass for converged
-        rng = np.random.default_rng(0)
-        n, gamma = 48, 0.9
-        T = 0.5 * np.triu(rng.standard_normal((n, n)), 1) + np.diag(rng.uniform(-1, 1, n))
-        V = rng.standard_normal((n, n))
-        G = V @ T @ np.linalg.inv(V)
-        G *= (1.0 - 1e-5) / (np.sqrt(gamma) * np.max(np.abs(np.linalg.eigvals(G))))
+        # gate overflow; inf <= inf must not pass for converged. One large
+        # entry above a diagonal of radius 1 - 1e-5: the powers peak near
+        # 1e104 and decay (depth 25), and X peaks near 2e214
+        n, gamma = 12, 0.9
+        G = (1.0 - 1e-5) / np.sqrt(gamma) * np.eye(n)
+        G[1, 2] = 1e100
         p = LqrProblem(A=G, B=np.zeros((n, 1)), Q=np.eye(n), R=[[1.0]], gamma=gamma,
                        Sigma_w=np.eye(n), Sigma_0=np.eye(n))
         gain = Gain.zero(p)
@@ -537,6 +536,21 @@ class TestOptimalGain:
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence):
                 optimal_gain(p)
+
+    @pytest.mark.parametrize("A, B, Q, match", [
+        (2.0 * np.eye(12), np.zeros((12, 1)), np.eye(12), "diverged"),
+        (np.diag([0.5] * 11 + [2.0]), np.eye(12), np.diag([1.0] * 11 + [0.0]),
+         f"not gamma-stabilizing \\(margin {1.0 - np.sqrt(0.9) * 2.0:.3g}\\)")],
+        ids=["no-actuation-unstable", "unseen-unstable-mode"])
+    def test_refusals_on_the_doubling_branch(self, A, B, Q, match):
+        # n = 12: the Riccati gain is checked by its operator's powers, and
+        # a refused one reports its margin
+        p = LqrProblem(A=A, B=B, Q=Q, R=np.eye(B.shape[1]), gamma=0.9,
+                       Sigma_w=0.1 * np.eye(12), Sigma_0=np.eye(12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match=match):
+                optimal_gain(p, max_iter=50)
 
     @pytest.mark.parametrize("plant", ["pendulum", "building24", "random3"])
     def test_matches_scipy_dare(self, plant):

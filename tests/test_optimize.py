@@ -10,7 +10,7 @@ from lqrnewton import (Evaluation, Gain, LqrProblem, OptimizerConfig,
                        make_pendulum, make_shear_building, optimal_gain,
                        performance, policy_gradient, run, search_direction)
 from lqrnewton.errors import (DirectionError, LineSearchFailure, NoConvergence,
-                              SeedNotStabilizing)
+                              NotStabilizing, SeedNotStabilizing)
 from lqrnewton.linalg import vec
 from lqrnewton.optimize import _backtrack
 
@@ -357,10 +357,10 @@ class TestComputeOnce:
         assert len(keys) == len(set(keys))
         # the seed and every line-search trial, each checked once, plus the
         # trials a search computes past its accepted one: its first block
-        # holds as many trials as the previous search rejected
+        # reaches the trial the previous search accepted
         depths = [s.backtracks for s in rec.steps if s.alpha_used > 0.0]
         trials = sum(b + 1 for b in depths)
-        speculative = sum(max(0, prev - 1 - b) for prev, b in zip([0] + depths, depths))
+        speculative = sum(max(0, prev - b) for prev, b in zip([0] + depths, depths))
         assert sum(len(stack_slices(a)) for a, in eig) == 1 + trials + speculative
         # a trial-by-trial search makes one eigenvalue call per trial
         assert len(eig) < 1 + trials
@@ -404,6 +404,9 @@ class TestLadder:
         assert ev.J == ev_ref.J and ev.margin == ev_ref.margin
         np.testing.assert_array_equal(ev.P, ev_ref.P)
         np.testing.assert_array_equal(ev.Sigma, ev_ref.Sigma)
+        # the next iterate's direction starts from these
+        assert ev.S.tobytes() == ev_ref.S.tobytes()
+        assert ev.grad.tobytes() == ev_ref.grad.tobytes()
 
     @pytest.mark.parametrize("plant, method", CASES)
     @pytest.mark.parametrize("hint", [0, 1, 3, 60])
@@ -447,7 +450,7 @@ class TestLadder:
         got = _backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=hint)
         self.assert_same(got, want)
         slices = sum(len(stack_slices(a)) for a, in eig)
-        assert slices == (hint if stacked else want[2] + 1)
+        assert slices == (hint + 1 if stacked else want[2] + 1)
 
     def test_a_block_that_raises_is_searched_trial_by_trial(self, plants, monkeypatch):
         prob = plants["pendulum"]
@@ -474,3 +477,108 @@ class TestLadder:
         for search in (_sequential_backtrack, partial(_backtrack, depth_hint=3)):
             with pytest.raises(ValueError, match="non-finite"):
                 search(prob, ev.gain, d, ev.J, ev.grad, cfg)
+
+
+def _non_normal_loop(n, margin, seed, scale, gamma=0.9):
+    # G = V T V^-1, T triangular with off-diagonal entries of size scale, and
+    # sqrt(gamma) * rho(G) = 1 - margin as far as eigvals can tell
+    rng = np.random.default_rng(seed)
+    T = scale * np.triu(rng.standard_normal((n, n)), 1) + np.diag(rng.uniform(-1, 1, n))
+    V = rng.standard_normal((n, n))
+    G = V @ T @ np.linalg.inv(V)
+    return G * (1.0 - margin) / (np.sqrt(gamma) * np.max(np.abs(np.linalg.eigvals(G))))
+
+
+def _open_loop_problem(G, gamma=0.9):
+    # B = I, so the zero gain's closed loop is G itself
+    n = len(G)
+    return LqrProblem(A=G, B=np.eye(n), Q=np.eye(n), R=np.eye(n), gamma=gamma,
+                      Sigma_w=np.eye(n), Sigma_0=np.eye(n))
+
+
+class TestCertifiedStability:
+    """Above n = 10 the doubling powers, not an eigenvalue solve, decide
+    whether a gain is stabilizing, and a recorded margin is computed when
+    it is read."""
+
+    @pytest.mark.parametrize("floors", [6, 12, 24])
+    def test_building_runs_make_no_eigenvalue_solve(self, monkeypatch, floors):
+        prob = make_shear_building(floors=floors, seed=7)
+        seed = initial_gain(prob, r_inflation=2.0)
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        k_star, _ = optimal_gain(prob)
+        assert eig == []
+        cfg = OptimizerConfig(method="newton", step_mode="backtracking", seed_gain=seed,
+                              grad_tol=1e-12, max_iter=4)
+        rec = run(prob, cfg, k_star=k_star)
+        assert rec.iterations == 4 and rec.flag is None
+        assert eig == []
+
+    def test_margins_are_computed_once_on_read(self, monkeypatch):
+        prob = make_shear_building(floors=6, seed=7)
+        cfg = OptimizerConfig(method="first_order", step_mode="backtracking",
+                              seed_gain=initial_gain(prob, r_inflation=2.0), max_iter=5)
+        rec = run(prob, cfg)
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        margins = rec.column("stabilizing_margin")
+        assert len(eig) == len(rec.steps) == 6
+        want = [Evaluation(prob, g).margin for g in rec.gains]
+        assert margins.tobytes() == np.array(want).tobytes()
+        del eig[:]
+        assert rec.column("stabilizing_margin").tobytes() == margins.tobytes()
+        assert rec.steps[0] == rec.steps[0] and "margin" in repr(rec.steps[0])
+        assert eig == []
+
+    def test_a_record_takes_a_float_margin(self):
+        rec = optimize.IterateRecord(0, 1.0, 2.0, 3.0, 0.5, 1, 0.25)
+        assert rec.stabilizing_margin == 0.25
+        assert rec == optimize.IterateRecord(0, 1.0, 2.0, 3.0, 0.5, 1, 0.25)
+        assert repr(rec).endswith("stabilizing_margin=0.25)")
+        with pytest.raises(TypeError):
+            optimize.IterateRecord(0, 1.0, 2.0, 3.0, 0.5, 1)
+
+    def test_small_systems_record_the_margin_their_check_computed(self, pendulum,
+                                                                  monkeypatch):
+        prob, k_star, seed = pendulum
+        cfg = OptimizerConfig(method="first_order", step_mode="backtracking",
+                              seed_gain=seed, max_iter=10)
+        rec = run(prob, cfg, k_star=k_star)
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        margins = rec.column("stabilizing_margin")
+        assert eig == [] and len(margins) == 11
+        assert margins.tobytes() == np.array(
+            [Evaluation(prob, g).margin for g in rec.gains]).tobytes()
+
+    def test_where_the_powers_and_eigvals_disagree(self):
+        # random non-normal loops near the boundary, n = 12 and 24: where
+        # the powers refuse a loop that eigvals calls stable, the gain is
+        # not stabilizing, a line search rejects it and a run refuses it as
+        # a seed; and no P is ever returned at a loop eigvals calls unstable
+        refused = {12: 0, 24: 0}
+        for n in (12, 24):
+            for scale in (1.0, 2.0):
+                for margin in (1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 1e-2, -1e-2):
+                    for seed in range(3):
+                        prob = _open_loop_problem(_non_normal_loop(n, margin, seed, scale))
+                        zero = Gain.zero(prob)
+                        ev = Evaluation(prob, zero)
+                        if ev.stabilizing and ev.margin <= 0.0:
+                            with pytest.raises(NoConvergence):
+                                ev.P
+                        if ev.stabilizing or ev.margin <= 0.0:
+                            continue
+                        refused[n] += 1
+                        with pytest.raises(NotStabilizing, match="do not certify"):
+                            ev.P
+                        k_star, _ = optimal_gain(prob)
+                        with pytest.raises(SeedNotStabilizing):
+                            run(prob, OptimizerConfig(seed_gain=zero), k_star=k_star)
+                        # through the optimum, so that the full step lands on
+                        # the refused gain K = 0
+                        start = Evaluation(prob, Gain(1.1 * k_star.K))
+                        d = -start.gain.theta
+                        assert float(start.grad @ d) < 0.0
+                        alpha, gain = backtracking_search(prob, start.gain, d, start.J,
+                                                          start.grad, OptimizerConfig())
+                        assert 0.0 < alpha < 1.0 and Evaluation(prob, gain).stabilizing
+        assert refused[12] >= 1 and refused[24] >= 1
