@@ -157,6 +157,10 @@ def main(argv=None) -> int:
     except LqrError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a config too large to allocate (numpy raises a private subclass)
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -96,7 +96,10 @@ class Evaluation:
     E^-1 S, the dP stack and jac_vecP, Lambda and H_exact are computed on
     first read and kept.
     The stability check builds the gain's Stein operator, factored once,
-    on which P, Sigma and every later solve run without another check. For
+    on which P, Sigma and every later solve run without another check. It
+    is the library's one stability rule (lqr._certified_operator): the
+    public solve_value, solve_sigma, performance and optimal_gain read an
+    Evaluation, so every entry point accepts and refuses the same gains. For
     n <= 10 it is one eigenvalue solve (margin > 0). Above, it makes none:
     the operator's doubling powers certify the gain, and a gain whose
     powers are refused counts as not stabilizing, even where an eigenvalue
@@ -141,7 +144,7 @@ class Evaluation:
         forward solve of :meth:`hvp` solve in Acl', Sigma and the adjoint
         solve in Acl."""
         if not self.stabilizing:
-            raise _not_stabilizing("the Stein operator", self.margin)
+            raise _not_stabilizing(self.margin)
         return self.__dict__["stein"]  # kept there by the check
 
     @cached

@@ -6,6 +6,13 @@ Hewer (policy-improvement) step. A gain's two Lyapunov equations are
 transposes of each other, so one factored :class:`SteinOperator` serves
 both, and every further solve in the same closed loop.
 
+Every per-gain result here, P, Sigma, J and both gains of
+:func:`optimal_gain`, is read from a
+:class:`~lqrnewton.derivatives.Evaluation`, so one stability rule,
+:func:`_certified_operator`, decides for every entry point whether a gain
+is gamma-stabilizing. :func:`is_gamma_stabilizing` is the plain eigenvalue
+test, which no solve calls.
+
 Conventions
 -----------
 Dynamics are s' = A s + B a + w with zero-mean noise of covariance Sigma_w
@@ -35,7 +42,7 @@ from .linalg import spectral_radius, unvec, vec
 # doubling at n = 10, and 0.37-0.41 ms against 0.23-0.28 ms at n = 12; the
 # LU's O(n^6) factorization then took 4.4 ms at n = 20, doubling 0.26 ms.
 _DIRECT_SOLVE_MAX_DIM = 10
-# Relative residual every doubling solve must reach; see _stein_solve.
+# Relative residual every doubling solve must reach; see SteinOperator.
 _RESID_TOL = 1e-10
 _SYM_TOL = 1e-9
 _PSD_TOL = 1e-9
@@ -193,11 +200,11 @@ def is_gamma_stabilizing(prob: LqrProblem, gain: Gain) -> tuple[bool, float]:
     return rho < 1.0, 1.0 - rho
 
 
-def _not_stabilizing(what: str, margin: float) -> NotStabilizing:
+def _not_stabilizing(margin: float) -> NotStabilizing:
     rho = 1.0 - margin
     why = ">= 1" if rho >= 1.0 else "< 1, but the doubling powers do not certify it"
     return NotStabilizing(
-        f"{what} requires a gamma-stabilizing gain (rho(sqrt(gamma)*Acl) = {rho:.6f} {why})")
+        f"the gain is not gamma-stabilizing (rho(sqrt(gamma)*Acl) = {rho:.6f} {why})")
 
 
 class SteinOperator:
@@ -252,13 +259,11 @@ class SteinOperator:
             self.depth = len(self._powers)
 
     def slice(self, j: int) -> "SteinOperator":
-        """The operator of G[j] for a stacked G, sharing this one's factors."""
+        """The operator of G[j] for a stacked G on the Kronecker branch,
+        sharing this one's factors."""
         op = object.__new__(SteinOperator)
-        op.G, op.gamma, op.depth = self.G[j], self.gamma, self.depth
-        if hasattr(self, "_lus"):
-            op._lus = [self._lus[j]]
-        else:
-            op._powers = [F[j] for F in self._powers]
+        op.G, op.gamma, op.depth = self.G[j], self.gamma, None
+        op._lus = [self._lus[j]]
         return op
 
     def solve(self, M: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -338,7 +343,9 @@ def closed_loop_operator(prob: LqrProblem, Acl: np.ndarray) -> SteinOperator:
 def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
                         margin) -> Optional[SteinOperator]:
     """The Stein operator of the closed loop Acl = A - B K of a
-    gamma-stabilizing gain, or None for a gain that is not.
+    gamma-stabilizing gain, or None for a gain that is not. This is the
+    library's one stability rule; ``Evaluation.stabilizing`` applies it,
+    and every solve at a gain reads that.
 
     For n <= _DIRECT_SOLVE_MAX_DIM the test is ``margin() > 0``, where
     ``margin`` is a callable giving 1 - rho(sqrt(gamma) * Acl) from an
@@ -358,11 +365,6 @@ def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
         return closed_loop_operator(prob, Acl)
     except NoConvergence:
         return None
-
-
-def _stein_solve(G: np.ndarray, M: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve X = M + gamma * G X G' once, on a fresh :class:`SteinOperator`."""
-    return SteinOperator(G, gamma).solve(M)
 
 
 def _sq_norm(X: np.ndarray) -> np.ndarray:
@@ -386,17 +388,10 @@ def _residual(G: np.ndarray, M: np.ndarray, X: np.ndarray, gamma: float,
     return np.subtract(out, X, out=out)
 
 
-def _checked_stein(prob: LqrProblem, gain: Gain, what: str,
-                   stein: Optional[SteinOperator]) -> SteinOperator:
-    """The Stein operator of a gain's closed loop, built once the gain is
-    found gamma-stabilizing, unless the caller passes the operator it has
-    already built for that checked gain."""
-    if stein is not None:
-        return stein
-    ok, margin = is_gamma_stabilizing(prob, gain)
-    if not ok:
-        raise _not_stabilizing(what, margin)
-    return closed_loop_operator(prob, closed_loop(prob, gain))
+def _evaluation(prob: LqrProblem, gain: Gain):
+    # imported here, since derivatives imports this module
+    from .derivatives import Evaluation
+    return Evaluation(prob, gain)
 
 
 def solve_value(prob: LqrProblem, gain: Gain, *,
@@ -407,13 +402,14 @@ def solve_value(prob: LqrProblem, gain: Gain, *,
     q = gamma / (1 - gamma) * tr(P Sigma_w). The returned P is symmetrized
     and satisfies the fixed point to within ~1e-10 * (1 + ||P||_F).
 
-    Raises NotStabilizing for a gain outside the stabilizing set. A caller
-    that has already found the gain gamma-stabilizing passes the Stein
-    operator of its closed loop, ``closed_loop_operator(prob, A - B K)``
-    (``Evaluation.stein``), as ``stein``; the eigenvalue check is then
-    skipped and the operator is used as given, so it must be that one.
+    The result is ``Evaluation(prob, gain)``'s P and q, the same bits, and
+    the gain is checked by its rule: NotStabilizing for a gain it refuses,
+    and NoConvergence where the solve misses its residual bound (see
+    :func:`_certified_operator`). ``stein`` is how the Evaluation itself
+    solves: it passes its checked operator, which is used as given.
     """
-    stein = _checked_stein(prob, gain, "solve_value", stein)
+    if stein is None:
+        stein = _evaluation(prob, gain).stein
     P, q = _value_of(prob, gain.K, stein)
     return ValueSolution(P, float(q))
 
@@ -448,18 +444,20 @@ def solve_sigma(prob: LqrProblem, gain: Gain, *,
     to within ~1e-10 * (1 + ||Sigma||_F). It is the transposed equation of
     the one P solves, and is solved on the same operator.
 
-    Raises NotStabilizing for a gain outside the stabilizing set;
-    ``stein`` skips that check as in :func:`solve_value`.
+    The result is ``Evaluation(prob, gain).Sigma``, checked and raising
+    as in :func:`solve_value`, and ``stein`` is used as given there.
     """
-    stein = _checked_stein(prob, gain, "solve_sigma", stein)
+    if stein is None:
+        stein = _evaluation(prob, gain).stein
     M = prob.Sigma_0 + prob.gamma / (1.0 - prob.gamma) * prob.Sigma_w
     return stein.solve(M, transpose=True)
 
 
 def performance(prob: LqrProblem, gain: Gain) -> float:
-    """Expected discounted cost J = tr(P Sigma_0) + q under the gain's policy."""
-    P, q = solve_value(prob, gain)
-    return float(_cost_of(prob, P, q))
+    """Expected discounted cost J = tr(P Sigma_0) + q under the gain's
+    policy: ``Evaluation(prob, gain).J``, checked and raising as in
+    :func:`solve_value`."""
+    return _evaluation(prob, gain).J
 
 
 def value_at(sol: ValueSolution, s: np.ndarray) -> float:
@@ -510,10 +508,11 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
 
     Raises NoConvergence on a non-finite iterate, after max_iter steps, or
     when the K* found is not gamma-stabilizing (e.g. B = 0 with an unstable
-    A, or an unstable mode that Q does not see). Both gains are checked as
-    :class:`~lqrnewton.derivatives.Evaluation` checks a gain: above
-    n = 10 by the doubling powers of their operators, with no eigenvalue
-    solve unless one is refused, whose margin the error then reports.
+    A, or an unstable mode that Q does not see). Both gains are read as
+    :class:`~lqrnewton.derivatives.Evaluation` objects and checked by
+    their rule: above n = 10 by the doubling powers of their operators,
+    with no eigenvalue solve unless one is refused, whose margin the error
+    then reports. The value returned is the Evaluation's at K*.
     """
     g, n = prob.gamma, prob.n
     A = np.sqrt(g) * prob.A
@@ -543,14 +542,10 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     P = H
     for _ in range(2):
         E = prob.R + g * prob.B.T @ P @ prob.B
-        best = Gain(np.linalg.solve(E, g * prob.B.T @ P @ prob.A))
-        stein = _certified_operator(prob, closed_loop(prob, best),
-                                    lambda: is_gamma_stabilizing(prob, best)[1])
-        if stein is None:
-            _, margin = is_gamma_stabilizing(prob, best)
+        ev = _evaluation(prob, Gain(np.linalg.solve(E, g * prob.B.T @ P @ prob.A)))
+        if not ev.stabilizing:
             raise NoConvergence(
-                f"the Riccati gain is not gamma-stabilizing (margin {margin:.3g}); (A, B) "
+                f"the Riccati gain is not gamma-stabilizing (margin {ev.margin:.3g}); (A, B) "
                 f"is not gamma-stabilizable or Q misses an unstable mode")
-        value = solve_value(prob, best, stein=stein)
-        P = value.P
-    return best, value
+        P = ev.P
+    return ev.gain, ValueSolution(P, ev.q)

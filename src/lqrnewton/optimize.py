@@ -11,7 +11,8 @@ Nocedal & Wright, Algorithm 7.1). Trial gains that leave the
 gamma-stabilizing set (where the cost is undefined) are rejected exactly
 like Armijo failures, so no recorded iterate is ever non-stabilizing.
 Above n = 10 that includes a trial whose doubling powers do not certify
-it (see :class:`~lqrnewton.derivatives.Evaluation`).
+it (see :class:`~lqrnewton.derivatives.Evaluation`), and one they certify
+whose value solve then misses its residual bound.
 
 A single run is sequential; separate runs share no state and may execute
 concurrently.
@@ -235,15 +236,27 @@ def search_direction(method: str, ev: Evaluation) -> np.ndarray:
     return d
 
 
+def _trial_cost(trial: Evaluation) -> Optional[float]:
+    """J at a trial gain, or None for a trial that is refused: not
+    stabilizing, or certified by its doubling powers although its value
+    solve misses the residual bound (a loop unstable by round-off)."""
+    if not trial.stabilizing:
+        return None
+    try:
+        return trial.J
+    except NoConvergence:
+        return None
+
+
 def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
                grad: np.ndarray, cfg: OptimizerConfig, depth_hint: int = 0):
     """Armijo backtracking with a stabilization guard.
 
     Returns (alpha, trial Evaluation, backtracks) for the first j whose
     step alpha = alpha0 * shrink^j gives a stabilizing gain that meets the
-    Armijo decrease; trial gains outside the stabilizing set count as
-    Armijo failures. Raises LineSearchFailure when max_backtracks shrinks
-    are exhausted.
+    Armijo decrease; trial gains outside the stabilizing set, or whose
+    value solve misses its residual bound, count as Armijo failures.
+    Raises LineSearchFailure when max_backtracks shrinks are exhausted.
 
     The first block of trials holds trials 0 .. depth_hint, where run
     passes the depth of its previous search, so that it reaches the trial
@@ -276,7 +289,8 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
         if size == 1:
             trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
                                                      prob.m, prob.n))
-            if trial.stabilizing and trial.J <= bound(alpha):
+            J = _trial_cost(trial)
+            if J is not None and J <= bound(alpha):
                 return alpha, trial, j
             j, alpha = j + 1, alpha * cfg.shrink
             continue
@@ -319,7 +333,8 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     cost is non-increasing across iterations. The gain-error column uses
     k_star (computed once via optimal_gain when not supplied). On a line
     search failure, or a fixed step that would leave the stabilizing set,
-    the current iterate is kept and the run is flagged rather than raising;
+    the current iterate is kept and the run is flagged rather than raising
+    (a trial whose value solve misses its residual bound counts as leaving);
     DirectionError propagates with the partial record attached as
     ``exc.record``. The accepted trial's Evaluation becomes the next
     iterate, so its stability check and value solve are not repeated.
@@ -362,7 +377,8 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
         if cfg.step_mode == "fixed":
             trial = Evaluation(prob, Gain.from_theta(gain.theta + cfg.alpha * direction,
                                                      prob.m, prob.n))
-            if not trial.stabilizing:
+            # the next record reads J anyway
+            if _trial_cost(trial) is None:
                 record(0.0, 0)
                 rec.flag = "left_stabilizing_set"
                 break

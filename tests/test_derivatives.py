@@ -157,7 +157,7 @@ class TestJacobianVecP:
             rows = np.arange(n)
             C[rows, :, rows, :] = ev.S
             C = C + C.transpose(0, 1, 3, 2)
-            want = lqr._stein_solve(ev.Acl.T, C.reshape(n * m, n, n), prob.gamma)
+            want = lqr.SteinOperator(ev.Acl.T, prob.gamma).solve(C.reshape(n * m, n, n))
             assert ev.dP.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 21])

@@ -286,6 +286,25 @@ class TestCli:
             with pytest.raises(ConfigError, match=rf"emit\.{next(iter(bad))}"):
                 config_from_dict({**PENDULUM_DOC, "emit": bad})
 
+    def test_a_config_too_large_to_allocate_exits_without_a_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        # numpy raises a private subclass of MemoryError; nothing is allocated
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def too_large(*args):
+            raise _ArrayMemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "landscape", too_large)
+        doc = {"problem": {"generator": "pendulum"},
+               "landscape": {"theta1": [0.0, 1.0, 3], "theta2": [0.0, 1.0, 3]}}
+        path = write_config(tmp_path, doc)
+        assert cli.main(["landscape", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 7.28 TiB for an array\n"
+        assert not (tmp_path / "out" / "landscape.csv").exists()
+
     def test_validate_runs_clean(self, capsys):
         assert cli.main(["validate"]) == 0
         out = capsys.readouterr().out

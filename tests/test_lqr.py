@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lqrnewton import lqr
+from lqrnewton import lqr, optimize
 from lqrnewton import (Evaluation, Gain, LqrProblem, action_value_at, closed_loop,
-                       is_gamma_stabilizing, make_pendulum, make_shear_building,
+                       initial_gain, is_gamma_stabilizing, make_pendulum, make_shear_building,
                        optimal_gain, pendulum_continuous,
                        performance, policy_gradient, solve_sigma, solve_value,
                        value_at)
 from lqrnewton.errors import NoConvergence, NotStabilizing
 from lqrnewton.oracles import scalar_reference
 
-from conftest import P_05, SCALAR, SIGMA_05, count_calls, rel_err, scalar_problem
+from conftest import (P_05, SCALAR, SIGMA_05, count_calls, make_instances, rel_err,
+                      scalar_problem)
 
 
 def simple_problem(**over):
@@ -265,20 +266,20 @@ class TestSteinSolve:
         G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
         M = rng.standard_normal((4, n, n))
         M = M + M.transpose(0, 2, 1)
-        X = lqr._stein_solve(G, M, 0.9)
+        X = lqr.SteinOperator(G, 0.9).solve(M)
         assert X.shape == M.shape
         for k in range(M.shape[0]):
             np.testing.assert_array_equal(X[k], X[k].T)
-            assert rel_err(X[k], lqr._stein_solve(G, M[k], 0.9)) <= 1e-13
+            assert rel_err(X[k], lqr.SteinOperator(G, 0.9).solve(M[k])) <= 1e-13
         # a distinct G per slice, at radii whose doubling needs different
         # numbers of steps; the direct solve gives each slice its own LU
         Gs = rng.standard_normal((4, n, n))
         radii = np.array([0.2, 0.5, 0.9, 0.99])
         Gs *= (radii / np.max(np.abs(np.linalg.eigvals(Gs)), axis=-1))[:, None, None]
-        X = lqr._stein_solve(Gs, M, 0.9)
+        X = lqr.SteinOperator(Gs, 0.9).solve(M)
         assert X.shape == M.shape
         for k in range(M.shape[0]):
-            want = lqr._stein_solve(Gs[k], M[k], 0.9)
+            want = lqr.SteinOperator(Gs[k], 0.9).solve(M[k])
             if n <= lqr._DIRECT_SOLVE_MAX_DIM:
                 np.testing.assert_array_equal(X[k], want)
             else:
@@ -294,7 +295,7 @@ class TestSteinSolve:
         op = lqr.SteinOperator(G, 0.9)
         X = op.solve(M, transpose=True)
         np.testing.assert_array_equal(X, X.swapaxes(1, 2))
-        assert rel_err(X, lqr._stein_solve(G.T, M, 0.9)) <= 1e-13
+        assert rel_err(X, lqr.SteinOperator(G.T, 0.9).solve(M)) <= 1e-13
         for k in range(2):
             resid = M[k] + 0.9 * G.T @ X[k] @ G - X[k]
             assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(X[k]))
@@ -344,27 +345,23 @@ class TestSteinSolve:
         assert all(a is b for a, b in zip(levels, powers + powers, strict=True))
         assert X.tobytes() == op.solve(np.eye(n)).tobytes()
         assert len(depths) == 1
-        assert rel_err(Y, lqr._stein_solve(G.T, np.eye(n), 0.9)) <= 1e-13
+        assert rel_err(Y, lqr.SteinOperator(G.T, 0.9).solve(np.eye(n))) <= 1e-13
 
-    @pytest.mark.parametrize("n", [4, 25])
+    # only line-search blocks slice, and they run on the Kronecker branch
+    @pytest.mark.parametrize("n", [4])
     def test_a_slice_shares_the_stack_factors(self, n):
+        assert optimize._BLOCK_MAX_DIM <= lqr._DIRECT_SOLVE_MAX_DIM
         rng = np.random.default_rng(6)
         Gs = rng.standard_normal((3, n, n))
         Gs *= (0.8 / np.max(np.abs(np.linalg.eigvals(Gs)), axis=-1))[:, None, None]
         op = lqr.SteinOperator(Gs, 0.9)
-        op.solve(np.stack([np.eye(n)] * 3))  # extends a doubling stack's powers
         for j in range(3):
             part = op.slice(j)
+            assert part._lus[0] is op._lus[j] and part.depth is None
             for transpose in (False, True):
                 got = part.solve(np.eye(n), transpose=transpose)
                 want = lqr.SteinOperator(Gs[j], 0.9).solve(np.eye(n), transpose=transpose)
-                if n <= lqr._DIRECT_SOLVE_MAX_DIM:
-                    assert part._lus[0] is op._lus[j]
-                    assert got.tobytes() == want.tobytes()
-                else:
-                    shared = zip(part._powers, op._powers)
-                    assert all(np.shares_memory(F, G) for F, G in shared)
-                    assert rel_err(got, want) <= 1e-13
+                assert got.tobytes() == want.tobytes()
 
     def test_direct_operator_equals_the_kronecker_form(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -374,7 +371,7 @@ class TestSteinSolve:
         getrf = lqr._getrf
         monkeypatch.setattr(lqr, "_getrf",
                             lambda a, **kw: seen.append(a.copy()) or getrf(a, **kw))
-        lqr._stein_solve(G, np.eye(4), 0.9)
+        lqr.SteinOperator(G, 0.9).solve(np.eye(4))
         np.testing.assert_array_equal(seen[0], np.eye(16) - 0.9 * np.kron(G, G))
 
     @pytest.mark.parametrize("case", ["one slice", "shared G", "paired G", "corrected"])
@@ -395,7 +392,7 @@ class TestSteinSolve:
             # a closed loop this close to the boundary misses the bound once
             G, M = _near_boundary(n, 1e-3, gamma), np.stack([np.eye(n), np.ones((n, n))])
         calls = count_calls(monkeypatch, lqr.SteinOperator, "_doubling")
-        X = lqr._stein_solve(G, M, gamma)
+        X = lqr.SteinOperator(G, gamma).solve(M)
         assert len(calls) == (2 if case == "corrected" else 1)
         want = _doubling_solve_reference(G, M, gamma)
         assert X.tobytes() == want.tobytes()
@@ -405,7 +402,7 @@ class TestSteinSolve:
     def test_doubling_meets_its_bound_or_refuses(self, n, margin):
         G, M = _near_boundary(n, margin), np.eye(n)
         try:
-            X = lqr._stein_solve(G, M, 0.9)
+            X = lqr.SteinOperator(G, 0.9).solve(M)
         except NoConvergence:
             return
         resid = np.linalg.norm(M + 0.9 * G @ X @ G.T - X, "fro")
@@ -464,6 +461,37 @@ class TestPerformance:
 
     def test_scalar_fixture(self, scalar_prob, scalar_gain):
         assert performance(scalar_prob, scalar_gain) == pytest.approx(P_05, abs=1e-14)
+
+
+class TestPublicSolvesReadAnEvaluation:
+    """solve_value, solve_sigma, performance and optimal_gain read an
+    Evaluation, so one stability rule decides for every entry point."""
+
+    def test_same_bits_as_the_evaluation(self):
+        buildings = [make_shear_building(floors=f, seed=7) for f in (3, 6, 12, 24)]
+        cases = make_instances(20) + [(p, initial_gain(p)) for p in buildings]
+        for prob, gain in cases:
+            ev = Evaluation(prob, gain)
+            P, q = solve_value(prob, gain)
+            assert P.tobytes() == ev.P.tobytes() and q == ev.q
+            assert solve_sigma(prob, gain).tobytes() == ev.Sigma.tobytes()
+            assert performance(prob, gain) == ev.J
+
+    @pytest.mark.parametrize("floors", [6, 12, 24])
+    def test_no_eigenvalue_solve_on_the_doubling_branch(self, monkeypatch, floors):
+        prob = make_shear_building(floors=floors, seed=7)
+        gain = initial_gain(prob)
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        solve_value(prob, gain)
+        solve_sigma(prob, gain)
+        performance(prob, gain)
+        assert eig == []
+
+    def test_optimal_gain_checks_its_two_gains_by_eigenvalues(self, monkeypatch):
+        prob = make_pendulum()
+        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        optimal_gain(prob)
+        assert len(eig) == 2
 
 
 class TestValueFunctions:

@@ -8,7 +8,8 @@ from lqrnewton import derivatives, lqr, optimize
 from lqrnewton import (Evaluation, Gain, LqrProblem, OptimizerConfig,
                        backtracking_search, initial_gain, is_gamma_stabilizing,
                        make_pendulum, make_shear_building, optimal_gain,
-                       performance, policy_gradient, run, search_direction)
+                       performance, policy_gradient, run, search_direction,
+                       solve_sigma, solve_value)
 from lqrnewton.errors import (DirectionError, LineSearchFailure, NoConvergence,
                               NotStabilizing, SeedNotStabilizing)
 from lqrnewton.linalg import vec
@@ -549,12 +550,19 @@ class TestCertifiedStability:
         assert margins.tobytes() == np.array(
             [Evaluation(prob, g).margin for g in rec.gains]).tobytes()
 
-    def test_where_the_powers_and_eigvals_disagree(self):
+    def test_where_the_powers_and_eigvals_disagree(self, monkeypatch):
         # random non-normal loops near the boundary, n = 12 and 24: where
         # the powers refuse a loop that eigvals calls stable, the gain is
-        # not stabilizing, a line search rejects it and a run refuses it as
-        # a seed; and no P is ever returned at a loop eigvals calls unstable
-        refused = {12: 0, 24: 0}
+        # not stabilizing, the public solves refuse it and a run refuses it
+        # as a seed. Where they certify a loop that eigvals calls unstable,
+        # its solves miss their residual bound, and a seed there raises.
+        # Either way a line search rejects the gain, a fixed step onto it
+        # ends the run flagged, and no value is ever returned at a loop
+        # eigvals calls unstable.
+        refused, certified = {12: 0, 24: 0}, 0
+        public = (solve_value, solve_sigma, performance)
+        # a fixed step from 1.1 K* lands on the zero gain
+        monkeypatch.setattr(optimize, "search_direction", lambda method, ev: -ev.gain.theta)
         for n in (12, 24):
             for scale in (1.0, 2.0):
                 for margin in (1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 1e-2, -1e-2):
@@ -562,23 +570,38 @@ class TestCertifiedStability:
                         prob = _open_loop_problem(_non_normal_loop(n, margin, seed, scale))
                         zero = Gain.zero(prob)
                         ev = Evaluation(prob, zero)
+                        if ev.margin <= 0.0:
+                            for solve in public:
+                                with pytest.raises((NotStabilizing, NoConvergence)):
+                                    solve(prob, zero)
                         if ev.stabilizing and ev.margin <= 0.0:
+                            certified += 1
                             with pytest.raises(NoConvergence):
                                 ev.P
-                        if ev.stabilizing or ev.margin <= 0.0:
+                            k_star, _ = optimal_gain(prob)
+                            with pytest.raises(NoConvergence):
+                                run(prob, OptimizerConfig(seed_gain=zero), k_star=k_star)
+                        elif ev.stabilizing or ev.margin <= 0.0:
                             continue
-                        refused[n] += 1
-                        with pytest.raises(NotStabilizing, match="do not certify"):
-                            ev.P
-                        k_star, _ = optimal_gain(prob)
-                        with pytest.raises(SeedNotStabilizing):
-                            run(prob, OptimizerConfig(seed_gain=zero), k_star=k_star)
+                        else:
+                            refused[n] += 1
+                            with pytest.raises(NotStabilizing, match="do not certify"):
+                                ev.P
+                            for solve in public:
+                                with pytest.raises(NotStabilizing, match="do not certify"):
+                                    solve(prob, zero)
+                            k_star, _ = optimal_gain(prob)
+                            with pytest.raises(SeedNotStabilizing):
+                                run(prob, OptimizerConfig(seed_gain=zero), k_star=k_star)
                         # through the optimum, so that the full step lands on
-                        # the refused gain K = 0
+                        # the gain K = 0
                         start = Evaluation(prob, Gain(1.1 * k_star.K))
                         d = -start.gain.theta
                         assert float(start.grad @ d) < 0.0
                         alpha, gain = backtracking_search(prob, start.gain, d, start.J,
                                                           start.grad, OptimizerConfig())
                         assert 0.0 < alpha < 1.0 and Evaluation(prob, gain).stabilizing
-        assert refused[12] >= 1 and refused[24] >= 1
+                        rec = run(prob, OptimizerConfig(step_mode="fixed",
+                                                        seed_gain=start.gain), k_star=k_star)
+                        assert rec.flag == "left_stabilizing_set" and rec.iterations == 0
+        assert refused[12] >= 1 and refused[24] >= 1 and certified >= 1
