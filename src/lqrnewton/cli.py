@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,12 +63,12 @@ def _cmd_optimize(args) -> int:
         overrides["max_iter"] = args.max_iter
     if overrides:
         try:
-            chosen = OptimizerConfig(**{**chosen.__dict__, **overrides})
+            chosen = replace(chosen, **overrides)
         except ValueError as exc:
             raise ConfigError(f"--tol/--max-iter: {exc}") from None
     if chosen.seed_gain is None:
         seed_gain = cfg.seed_gain if cfg.seed_gain is not None else initial_gain(cfg.problem)
-        chosen = OptimizerConfig(**{**chosen.__dict__, "seed_gain": seed_gain})
+        chosen = replace(chosen, seed_gain=seed_gain)
     record = run(cfg.problem, chosen)
     last = record.steps[-1]
     print(f"method={chosen.method} iterations={record.iterations} "

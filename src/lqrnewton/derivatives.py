@@ -52,8 +52,6 @@ array and solved as one stack.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import SingularT
@@ -291,17 +289,20 @@ class Trials:
     broadcast over the trials (see :class:`SteinOperator` for when a
     stacked P can differ from a solve of its own in the last bits). ``stabilizing``
     and ``J`` (NaN where not stabilizing) are vectors over the trials. A
-    non-finite trial gain raises ValueError, as Gain does.
+    non-finite trial gain raises ValueError, as Gain does, and a non-finite
+    closed loop LinAlgError.
     """
 
     def __init__(self, prob: LqrProblem, theta0: np.ndarray, direction: np.ndarray,
                  alphas: np.ndarray):
         k = len(alphas)
         # row j is vec(K_j); unvec each row into the view Gain.from_theta gives
-        K = (theta0 + alphas[:, None] * direction).reshape(k, prob.n, prob.m)
-        K = K.swapaxes(-1, -2)
+        # an overflowing trial raises below, or in eigvals, not warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = (theta0 + alphas[:, None] * direction).reshape(k, prob.n, prob.m)
+            K = K.swapaxes(-1, -2)
+            Acl = prob.A - prob.B @ K
         _require_finite(K, "K")
-        Acl = prob.A - prob.B @ K
         self.prob, self.K, self.Acl = prob, K, Acl
         self.eigvals = np.linalg.eigvals(np.sqrt(prob.gamma) * Acl)
         self.margin = 1.0 - np.max(np.abs(self.eigvals), axis=-1)
@@ -389,17 +390,13 @@ def hessian_vector_product(prob: LqrProblem, gain: Gain, v: np.ndarray) -> np.nd
     return Evaluation(prob, gain).hvp(v)
 
 
-def exact_hessian(prob: LqrProblem, gain: Gain,
-                  evaluation: Optional[Evaluation] = None) -> Evaluation:
+def exact_hessian(prob: LqrProblem, gain: Gain) -> Evaluation:
     """The Evaluation at a gain with its exact Hessian assembled.
 
     H_exact = H_gn + gamma * Lambda is exactly symmetric as computed; the
     gradient, S, H_gn, jac_vecP and Lambda are read from the same returned
-    Evaluation. An ``evaluation`` of this same problem and gain lends its
-    already computed pieces and is the one returned.
+    Evaluation.
     """
-    ev = evaluation if evaluation is not None else Evaluation(prob, gain)
-    if ev.prob is not prob or ev.gain is not gain:
-        raise ValueError("evaluation was built for a different problem or gain")
+    ev = Evaluation(prob, gain)
     ev.H_exact  # assembled here, so the returned Evaluation holds it
     return ev

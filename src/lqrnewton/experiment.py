@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -120,7 +120,7 @@ def _problem_from(node, seed, path: str = "problem") -> LqrProblem:
             Sigma_w=_matrix(node["Sigma_w"], f"{path}.Sigma_w"),
             Sigma_0=_matrix(node["Sigma_0"], f"{path}.Sigma_0"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -128,9 +128,7 @@ def _method_from(node, idx: int, prob: LqrProblem) -> OptimizerConfig:
     path = f"methods[{idx}]"
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object")
-    known = {"method", "step_mode", "alpha", "c_armijo", "shrink",
-             "max_backtracks", "grad_tol", "max_iter", "seed_gain"}
-    unknown = set(node) - known
+    unknown = set(node) - {f.name for f in fields(OptimizerConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {', '.join(sorted(unknown))}")
     kwargs = dict(node)
@@ -165,7 +163,8 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     if "problem" not in doc:
         raise ConfigError("top level: missing field 'problem'")
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    # a JSON true is an int to isinstance, and would pass as seed 1
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError("seed: expected an integer")
     problem = _problem_from(doc["problem"], seed)
 
@@ -184,7 +183,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     emit_node = doc.get("emit", {})
     if not isinstance(emit_node, dict):
         raise ConfigError("emit: expected an object")
-    unknown = set(emit_node) - {"trace_csv", "landscape_grid", "summary"}
+    unknown = set(emit_node) - {f.name for f in fields(EmitFlags)}
     if unknown:
         raise ConfigError(f"emit: unknown field(s) {', '.join(sorted(unknown))}")
     for name, flag in emit_node.items():
@@ -279,7 +278,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     status = 0
     for label, mcfg in zip(cfg.labels, cfg.methods):
         if mcfg.seed_gain is None:
-            mcfg = OptimizerConfig(**{**mcfg.__dict__, "seed_gain": default_seed})
+            mcfg = replace(mcfg, seed_gain=default_seed)
         try:
             record = run(cfg.problem, mcfg, k_star=k_star)
         except LqrError as exc:

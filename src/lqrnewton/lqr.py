@@ -235,10 +235,7 @@ class SteinOperator:
     not reach the depth test. Each doubled slice must then satisfy
     ||M + gamma G X G' - X||_F <= 1e-10 * (1 + ||X||_F); the slices are
     corrected once by doubling on their residual, and NoConvergence is
-    raised if any still misses the bound. The doubling copies M once and
-    runs, residual gate, correction and symmetrization included, in two work
-    arrays of that shape (a third only for the correction pass), with the
-    arithmetic of the plain expressions, so its results are the same bits.
+    raised if any still misses the bound.
     """
 
     def __init__(self, G: np.ndarray, gamma: float):
@@ -271,18 +268,16 @@ class SteinOperator:
         gamma = self.gamma
         G = self.G.swapaxes(-1, -2) if transpose else self.G
         Gt = G.swapaxes(-1, -2)
-        if hasattr(self, "_lus"):
+        if self.depth is None:
             X = self._lu_solve(M, transpose)
             # one refinement pass keeps the residual near round-off
             X = X + self._lu_solve(M + gamma * G @ X @ Gt - X, transpose)
             return (X + X.swapaxes(-1, -2)) / 2.0
-        acc = np.array(np.broadcast_to(M, np.broadcast_shapes(G.shape, M.shape)))
-        X, tmp = np.empty_like(acc), np.empty_like(acc)
-        self._doubling(acc, transpose, X, tmp)  # acc is free from here on
-        R = _residual(G, M, X, gamma, tmp, acc)
+        X = self._doubling(M, transpose)
+        R = M + gamma * G @ X @ Gt - X
         if not _within_bound(R, X):
-            X += self._doubling(R, transpose, acc, np.empty_like(X))
-            if not _within_bound(_residual(G, M, X, gamma, tmp, acc), X):
+            X = X + self._doubling(R, transpose)
+            if not _within_bound(M + gamma * G @ X @ Gt - X, X):
                 raise NoConvergence(
                     "discounted Lyapunov doubling missed its residual bound; the "
                     "closed loop is too close to the stabilizing boundary")
@@ -300,19 +295,14 @@ class SteinOperator:
                                  for (lu, piv, _), c in zip(self._lus, cols.T, strict=True)])
         return X.T.reshape(rhs.shape).swapaxes(-1, -2)
 
-    def _doubling(self, X: np.ndarray, transpose: bool, out: np.ndarray,
-                  tmp: np.ndarray) -> np.ndarray:
+    def _doubling(self, X: np.ndarray, transpose: bool) -> np.ndarray:
         """Sum X + F X F' + F^2 X F^2' + ... over the operator's powers
-        (F = sqrt(gamma) G, or its transpose), accumulating in X itself; the
-        symmetrized sum is written to out. out and tmp are work arrays of
-        X's shape."""
+        (F = sqrt(gamma) G, or its transpose), symmetrized."""
         for F in self._powers:
             if transpose:
                 F = F.swapaxes(-1, -2)
-            X += np.matmul(np.matmul(F, X, out=out), F.swapaxes(-1, -2), out=tmp)
-        np.add(X, X.swapaxes(-1, -2), out=out)
-        out /= 2.0
-        return out
+            X = X + F @ X @ F.swapaxes(-1, -2)
+        return (X + X.swapaxes(-1, -2)) / 2.0
 
 
 def _doubling_powers(F: np.ndarray) -> list[np.ndarray]:
@@ -378,14 +368,6 @@ def _within_bound(R: np.ndarray, X: np.ndarray) -> bool:
     sq = _sq_norm(X)
     bound = _RESID_TOL * (1.0 + np.sqrt(sq))
     return bool((np.isfinite(sq) & (np.sqrt(_sq_norm(R)) <= bound)).all())
-
-
-def _residual(G: np.ndarray, M: np.ndarray, X: np.ndarray, gamma: float,
-              out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """M + gamma * G X G' - X, written to out; tmp is overwritten."""
-    np.matmul(np.matmul(gamma * G, X, out=tmp), G.swapaxes(-1, -2), out=out)
-    np.add(M, out, out=out)
-    return np.subtract(out, X, out=out)
 
 
 def _evaluation(prob: LqrProblem, gain: Gain):

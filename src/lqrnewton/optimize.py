@@ -236,15 +236,30 @@ def search_direction(method: str, ev: Evaluation) -> np.ndarray:
     return d
 
 
-def _trial_cost(trial: Evaluation) -> Optional[float]:
-    """J at a trial gain, or None for a trial that is refused: not
-    stabilizing, or certified by its doubling powers although its value
-    solve misses the residual bound (a loop unstable by round-off)."""
-    if not trial.stabilizing:
+def _trial(prob: LqrProblem, theta0: np.ndarray, alpha: float,
+           direction: np.ndarray) -> Optional[Evaluation]:
+    """The Evaluation at the trial gain theta0 + alpha * direction, or None
+    where the step overflows and leaves that gain non-finite."""
+    # such a trial is refused, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
+                                                    prob.m, prob.n))
+        except ValueError:  # Gain refuses non-finite entries
+            return None
+
+
+def _trial_cost(trial: Optional[Evaluation]) -> Optional[float]:
+    """J at a trial gain, or None for a trial that is refused: not finite
+    (None), not stabilizing, with a closed loop that overflows (whose
+    eigenvalue solve raises LinAlgError), or certified by its doubling
+    powers although its value solve misses the residual bound (a loop
+    unstable by round-off)."""
+    if trial is None:
         return None
     try:
-        return trial.J
-    except NoConvergence:
+        return trial.J if trial.stabilizing else None
+    except (NoConvergence, np.linalg.LinAlgError):
         return None
 
 
@@ -254,8 +269,9 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
 
     Returns (alpha, trial Evaluation, backtracks) for the first j whose
     step alpha = alpha0 * shrink^j gives a stabilizing gain that meets the
-    Armijo decrease; trial gains outside the stabilizing set, or whose
-    value solve misses its residual bound, count as Armijo failures.
+    Armijo decrease; trial gains that are not finite, lie outside the
+    stabilizing set, or whose value solve misses its residual bound, count
+    as Armijo failures.
     Raises LineSearchFailure when max_backtracks shrinks are exhausted.
 
     The first block of trials holds trials 0 .. depth_hint, where run
@@ -287,8 +303,7 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
     while j <= cfg.max_backtracks:
         size = min(size, cfg.max_backtracks + 1 - j)
         if size == 1:
-            trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
-                                                     prob.m, prob.n))
+            trial = _trial(prob, theta0, alpha, direction)
             J = _trial_cost(trial)
             if J is not None and J <= bound(alpha):
                 return alpha, trial, j
@@ -334,7 +349,8 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     k_star (computed once via optimal_gain when not supplied). On a line
     search failure, or a fixed step that would leave the stabilizing set,
     the current iterate is kept and the run is flagged rather than raising
-    (a trial whose value solve misses its residual bound counts as leaving);
+    (a trial gain that is not finite, or whose value solve misses its
+    residual bound, counts as leaving);
     DirectionError propagates with the partial record attached as
     ``exc.record``. The accepted trial's Evaluation becomes the next
     iterate, so its stability check and value solve are not repeated.
@@ -375,8 +391,7 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
             raise
 
         if cfg.step_mode == "fixed":
-            trial = Evaluation(prob, Gain.from_theta(gain.theta + cfg.alpha * direction,
-                                                     prob.m, prob.n))
+            trial = _trial(prob, gain.theta, cfg.alpha, direction)
             # the next record reads J anyway
             if _trial_cost(trial) is None:
                 record(0.0, 0)

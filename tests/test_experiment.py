@@ -72,6 +72,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"problem": {"generator": "shear_building", "floors": 2}})
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a JSON true is an int to isinstance, but not a seed
+        doc = {"problem": {"generator": "shear_building", "floors": 2}, "seed": seed}
+        with pytest.raises(ConfigError, match="seed: expected an integer"):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize("theta1, message", [
         ([0.0, 1.0, -1], "steps"), ([0.0, 1.0, 0], "steps"),
         ([0.0, float("inf"), 3], "finite"), ([float("nan"), 1.0, 3], "finite"),
@@ -278,6 +285,12 @@ class TestCli:
             doc = {**PENDULUM_DOC, "emit": {**PENDULUM_DOC["emit"], **bad}}
             cases.append(["experiment", "--config", str(write_config(
                 tmp_path, doc, name=f"emit{i}.json")), "--seed", "1"])
+        # float() of these raises TypeError, not ValueError
+        for i, gamma in enumerate(([0.9], None)):
+            doc = {"problem": {"A": [[0.5]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+                               "gamma": gamma, "Sigma_w": [[1.0]], "Sigma_0": [[1.0]]}}
+            cases.append(["solve", "--config", str(write_config(
+                tmp_path, doc, name=f"gamma{i}.json"))])
         for argv in cases:
             assert cli.main(argv) == 1, argv
             err = capsys.readouterr().err
@@ -285,6 +298,24 @@ class TestCli:
         for bad in bad_emits:
             with pytest.raises(ConfigError, match=rf"emit\.{next(iter(bad))}"):
                 config_from_dict({**PENDULUM_DOC, "emit": bad})
+
+    def test_an_overflowing_trial_gain_ends_the_run_without_a_traceback(
+            self, tmp_path, capsys):
+        doc = {"problem": {"generator": "pendulum"},
+               "methods": [{"method": "first_order", "step_mode": step_mode,
+                            "alpha": 1e308, "max_iter": 3}
+                           for step_mode in ("fixed", "backtracking")],
+               "emit": {"trace_csv": False, "summary": True}}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["methods"]["first_order"]["flag"] == "left_stabilizing_set"
+        assert summary["methods"]["first_order_2"]["flag"] == "line_search_failure"
+        assert cli.main(["optimize", "--config", str(path), "--method", "first_order"]) == 0
+        captured = capsys.readouterr()
+        assert "flag=left_stabilizing_set" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_a_config_too_large_to_allocate_exits_without_a_traceback(
             self, tmp_path, capsys, monkeypatch):

@@ -234,7 +234,7 @@ def _near_boundary(n, margin, gamma=0.9):
 
 def _doubling_reference(G, M, gamma):
     # the allocating loop of the fixed-depth rule, kept as the reference the
-    # buffered _doubling must equal bit for bit: add levels until
+    # plain _doubling must equal bit for bit: add levels until
     # ||F^(2^j)||_F^2 <= 2^-52 in every slice
     X = M
     F = np.sqrt(gamma) * G
@@ -299,6 +299,27 @@ class TestSteinSolve:
         for k in range(2):
             resid = M[k] + 0.9 * G.T @ X[k] @ G - X[k]
             assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(X[k]))
+
+    @pytest.mark.parametrize("n", [3, 25])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_a_solve_leaves_its_inputs_alone(self, n, stacked, transpose):
+        # n = 3 is the Kronecker branch, n = 25 the doubling one
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((n, n))
+        G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+        M = rng.standard_normal((4, n, n) if stacked else (n, n))
+        M = M + M.swapaxes(-1, -2)
+        op = lqr.SteinOperator(G, 0.9)
+
+        def held():
+            return [G, *(op._powers if op.depth is not None else (lu for lu, _, _ in op._lus))]
+
+        before, M0 = [a.copy() for a in held()], M.copy()
+        X = op.solve(M, transpose=transpose)
+        assert M.tobytes() == M0.tobytes() and X is not M
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, held(), strict=True))
+        assert op.solve(M, transpose=transpose).tobytes() == X.tobytes()
 
     def test_operator_is_factored_once(self, monkeypatch):
         rng = np.random.default_rng(2)

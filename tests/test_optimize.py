@@ -1,4 +1,4 @@
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -469,15 +469,37 @@ class TestLadder:
         self.assert_same(_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=60),
                          want)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_non_finite_trial_gain_raises(self, plants):
+    def test_non_finite_trial_gain_is_refused(self, plants):
         prob = plants["pendulum"]
         ev, d = _search_start(prob, "first_order")
-        cfg = OptimizerConfig(alpha=1e308)
-        assert not np.isfinite(ev.gain.theta + cfg.alpha * d).all()
-        for search in (_sequential_backtrack, partial(_backtrack, depth_hint=3)):
-            with pytest.raises(ValueError, match="non-finite"):
-                search(prob, ev.gain, d, ev.J, ev.grad, cfg)
+        args = (prob, ev.gain, d, ev.J, ev.grad)
+        cfg = OptimizerConfig(alpha=1e308, shrink=1e-3, max_backtracks=200)
+        # the first trials overflow; j0 is the first finite one
+        j0, alpha = 0, cfg.alpha
+        with np.errstate(over="ignore"):
+            while not np.isfinite(ev.gain.theta + alpha * d).all():
+                j0, alpha = j0 + 1, alpha * cfg.shrink
+        assert j0 >= 1
+        # both schedules refuse the overflowing trials, with no warning, and
+        # then accept what a trial-by-trial search from trial j0 accepts
+        a, trial, j = _sequential_backtrack(*args, replace(cfg, alpha=alpha))
+        for hint in (0, 3):
+            self.assert_same(_backtrack(*args, cfg, depth_hint=hint), (a, trial, j0 + j))
+            with pytest.raises(LineSearchFailure):
+                _backtrack(*args, replace(cfg, max_backtracks=j0 - 1), depth_hint=hint)
+
+    @pytest.mark.parametrize("mode, flag", [("fixed", "left_stabilizing_set"),
+                                            ("backtracking", "line_search_failure")])
+    def test_a_trial_whose_closed_loop_overflows_is_refused(self, mode, flag):
+        # the trial gains are finite, about 1e305, but B K is not
+        prob = LqrProblem(A=[[1.2]], B=[[1e6]], Q=[[1.0]], R=[[1.0]], gamma=0.9,
+                          Sigma_w=[[1.0]], Sigma_0=[[1.0]])
+        seed = Gain([[1e-6]])
+        alpha = 1e305 / np.abs(Evaluation(prob, seed).grad).max()
+        cfg = OptimizerConfig(method="first_order", step_mode=mode, alpha=alpha,
+                              max_backtracks=3, max_iter=3, seed_gain=seed)
+        rec = run(prob, cfg)
+        assert rec.flag == flag and rec.iterations == 0
 
 
 def _non_normal_loop(n, margin, seed, scale, gamma=0.9):
