@@ -49,18 +49,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = load_config(args.config, output_dir=args.out)
-    chosen = None
-    for label, mcfg in zip(cfg.labels, cfg.methods):
-        if label == args.method or mcfg.method == args.method:
-            chosen = mcfg
-            break
-    if chosen is None:
-        chosen = OptimizerConfig(method=args.method)
-    overrides = {}
-    if args.tol is not None:
-        overrides["grad_tol"] = args.tol
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
+    chosen = next((m for m in cfg.methods if m.method == args.method),
+                  OptimizerConfig(method=args.method))
+    overrides = {name: value for name, value in (("grad_tol", args.tol),
+                                                 ("max_iter", args.max_iter))
+                 if value is not None}
     if overrides:
         try:
             chosen = replace(chosen, **overrides)

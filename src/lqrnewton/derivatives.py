@@ -57,7 +57,7 @@ import numpy as np
 from .errors import SingularT
 from .linalg import kron, vec
 from .lqr import (Gain, LqrProblem, SteinOperator, ValueSolution, _certified_operator,
-                  _cost_of, _not_stabilizing, _require_finite, _value_of, closed_loop,
+                  _cost_of, _eigvals, _not_stabilizing, _value_of, closed_loop,
                   closed_loop_operator, solve_sigma, solve_value)
 
 _COND_LIMIT = 1e14
@@ -104,7 +104,10 @@ class Evaluation:
     solve would give a positive margin (a closed loop so non-normal that
     its powers overflow before they decay). There the eigenvalues and the
     margin are computed only when read, and the SingularT test of dP and
-    hvp bounds the operator's conditioning from the doubling depth.
+    hvp bounds the operator's conditioning from the doubling depth. On
+    both branches a closed loop that is not finite is not stabilizing, with
+    margin -inf; Acl is formed with no errstate, so numpy may warn about
+    its overflow first.
     :meth:`hvp` multiplies by H_exact without forming it. Reading the
     operator, P or Sigma at a non-stabilizing gain raises NotStabilizing,
     and reading dP or calling hvp at a gain numerically on the stabilizing
@@ -119,12 +122,13 @@ class Evaluation:
 
     @cached
     def eigvals(self) -> np.ndarray:
-        """Eigenvalues of sqrt(gamma) * Acl."""
-        return np.linalg.eigvals(np.sqrt(self.prob.gamma) * self.Acl)
+        """Eigenvalues of sqrt(gamma) * Acl, all inf where Acl is not finite."""
+        return _eigvals(self.prob, self.Acl)
 
     @cached
     def margin(self) -> float:
-        """1 - rho(sqrt(gamma) * Acl); positive for every stabilizing gain."""
+        """1 - rho(sqrt(gamma) * Acl); positive for every stabilizing gain,
+        -inf for a closed loop that is not finite."""
         return 1.0 - float(np.max(np.abs(self.eigvals)))
 
     @cached
@@ -289,22 +293,21 @@ class Trials:
     broadcast over the trials (see :class:`SteinOperator` for when a
     stacked P can differ from a solve of its own in the last bits). ``stabilizing``
     and ``J`` (NaN where not stabilizing) are vectors over the trials. A
-    non-finite trial gain raises ValueError, as Gain does, and a non-finite
-    closed loop LinAlgError.
+    trial whose gain or closed loop overflows is not stabilizing, by the
+    rule of lqr._eigvals, and raises nothing.
     """
 
     def __init__(self, prob: LqrProblem, theta0: np.ndarray, direction: np.ndarray,
                  alphas: np.ndarray):
         k = len(alphas)
         # row j is vec(K_j); unvec each row into the view Gain.from_theta gives
-        # an overflowing trial raises below, or in eigvals, not warns
+        # an overflowing trial is refused by _eigvals, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             K = (theta0 + alphas[:, None] * direction).reshape(k, prob.n, prob.m)
             K = K.swapaxes(-1, -2)
             Acl = prob.A - prob.B @ K
-        _require_finite(K, "K")
         self.prob, self.K, self.Acl = prob, K, Acl
-        self.eigvals = np.linalg.eigvals(np.sqrt(prob.gamma) * Acl)
+        self.eigvals = _eigvals(prob, Acl)
         self.margin = 1.0 - np.max(np.abs(self.eigvals), axis=-1)
         self.stabilizing = s = self.margin > 0.0
         self.J = np.full(k, np.nan)

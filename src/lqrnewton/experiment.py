@@ -57,18 +57,27 @@ class ExperimentConfig:
     methods: list[OptimizerConfig]
     labels: list[str]
     output_dir: Path
-    seed: Optional[int] = None
     emit: EmitFlags = field(default_factory=EmitFlags)
     landscape_ranges: Optional[tuple] = None
     gain: Optional[Gain] = None
     seed_gain: Optional[Gain] = None
 
 
+def _number(node, path: str):
+    """A JSON number, unchanged; a string, a bool or anything else is refused."""
+    # a JSON true is an int to isinstance
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ConfigError(f"{path}: expected a number")
+    return node
+
+
 def _matrix(node, path: str) -> np.ndarray:
-    try:
-        arr = np.array(node, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a numeric (nested) array") from None
+    # dtype=float would also take "0.5" and true; a ragged nesting leaves
+    # lists among the entries
+    arr = np.array(node, dtype=object)
+    for x in arr.flat:
+        _number(x, path)
+    arr = arr.astype(float)  # OverflowError for an int beyond float range
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2:
@@ -91,6 +100,9 @@ def _problem_from(node, seed, path: str = "problem") -> LqrProblem:
     if "generator" in node:
         gen = node["generator"]
         kwargs = {k: v for k, v in node.items() if k != "generator"}
+        # every generator parameter is a number
+        for k, v in kwargs.items():
+            _number(v, f"{path}.{k}")
         try:
             if gen == "pendulum":
                 return make_pendulum(**kwargs)
@@ -103,7 +115,7 @@ def _problem_from(node, seed, path: str = "problem") -> LqrProblem:
                 return make_shear_building(**kwargs)
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
         raise ConfigError(f"{path}.generator: unknown generator {gen!r}")
     required = ("A", "B", "Q", "R", "gamma", "Sigma_w", "Sigma_0")
@@ -116,11 +128,11 @@ def _problem_from(node, seed, path: str = "problem") -> LqrProblem:
             B=_matrix(node["B"], f"{path}.B"),
             Q=_matrix(node["Q"], f"{path}.Q"),
             R=_matrix(node["R"], f"{path}.R"),
-            gamma=float(node["gamma"]),
+            gamma=_number(node["gamma"], f"{path}.gamma"),
             Sigma_w=_matrix(node["Sigma_w"], f"{path}.Sigma_w"),
             Sigma_0=_matrix(node["Sigma_0"], f"{path}.Sigma_0"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -132,6 +144,10 @@ def _method_from(node, idx: int, prob: LqrProblem) -> OptimizerConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {', '.join(sorted(unknown))}")
     kwargs = dict(node)
+    for f in fields(OptimizerConfig):
+        # the numeric settings are the ones with numeric defaults
+        if f.name in kwargs and isinstance(f.default, (int, float)):
+            _number(kwargs[f.name], f"{path}.{f.name}")
     if "seed_gain" in kwargs:
         kwargs["seed_gain"] = _gain(kwargs["seed_gain"], f"{path}.seed_gain", prob)
     try:
@@ -142,7 +158,8 @@ def _method_from(node, idx: int, prob: LqrProblem) -> OptimizerConfig:
 
 def _grid_range(node, path: str) -> tuple[float, float, int]:
     try:
-        lo, hi, raw = float(node[0]), float(node[1]), node[2]
+        lo, hi = (float(_number(x, path)) for x in node[:2])
+        raw = node[2]
         steps = int(raw)
     except (TypeError, ValueError, OverflowError, IndexError, KeyError):
         raise ConfigError(f"{path}: expected [lo, hi, steps]") from None
@@ -203,7 +220,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     gain = _gain(doc["gain"], "gain", problem) if "gain" in doc else None
     seed_gain = _gain(doc["seed_gain"], "seed_gain", problem) if "seed_gain" in doc else None
     return ExperimentConfig(problem=problem, methods=methods, labels=labels,
-                            output_dir=out, seed=seed, emit=emit,
+                            output_dir=out, emit=emit,
                             landscape_ranges=ranges, gain=gain,
                             seed_gain=seed_gain)
 

@@ -10,8 +10,10 @@ Every per-gain result here, P, Sigma, J and both gains of
 :func:`optimal_gain`, is read from a
 :class:`~lqrnewton.derivatives.Evaluation`, so one stability rule,
 :func:`_certified_operator`, decides for every entry point whether a gain
-is gamma-stabilizing. :func:`is_gamma_stabilizing` is the plain eigenvalue
-test, which no solve calls.
+is gamma-stabilizing. A closed loop that is not finite is not: its
+eigenvalues are inf (:func:`_eigvals`) and its doubling powers are refused.
+:func:`is_gamma_stabilizing` is the plain eigenvalue test, which no solve
+calls.
 
 Conventions
 -----------
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from .errors import NoConvergence, NotStabilizing
-from .linalg import spectral_radius, unvec, vec
+from .linalg import unvec, vec
 
 # Above this state dimension the n^2 x n^2 Kronecker solve is replaced by
 # a squared-iteration (doubling) evaluation of the same fixed point. On a
@@ -193,11 +195,13 @@ def closed_loop(prob: LqrProblem, gain: Gain) -> np.ndarray:
 def is_gamma_stabilizing(prob: LqrProblem, gain: Gain) -> tuple[bool, float]:
     """Check rho(sqrt(gamma) * (A - B K)) < 1.
 
-    Returns (stabilizing, margin) where margin = 1 - rho. A positive margin
-    means the discounted closed-loop sums converge.
+    Returns (stabilizing, margin) where margin = 1 - rho, read from a fresh
+    :class:`~lqrnewton.derivatives.Evaluation`. A positive margin means the
+    discounted closed-loop sums converge; a closed loop that is not finite
+    has margin -inf.
     """
-    rho = spectral_radius(np.sqrt(prob.gamma) * closed_loop(prob, gain))
-    return rho < 1.0, 1.0 - rho
+    margin = _evaluation(prob, gain).margin
+    return margin > 0.0, margin
 
 
 def _not_stabilizing(margin: float) -> NotStabilizing:
@@ -338,12 +342,13 @@ def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
     and every solve at a gain reads that.
 
     For n <= _DIRECT_SOLVE_MAX_DIM the test is ``margin() > 0``, where
-    ``margin`` is a callable giving 1 - rho(sqrt(gamma) * Acl) from an
-    eigenvalue solve. Above, no eigenvalue is computed: the gain counts as
-    stabilizing when the operator's doubling powers can be formed, since
-    reaching the depth test certifies rho(sqrt(gamma) * Acl) < 1 (see
-    :class:`SteinOperator`), and a NoConvergence from them means it does
-    not. Such a refusal can also come from a closed loop that an
+    ``margin`` is a callable giving 1 - rho(sqrt(gamma) * Acl) from
+    :func:`_eigvals`, -inf for a loop that is not finite. Above, no
+    eigenvalue is computed: the gain counts as stabilizing when the
+    operator's doubling powers can be formed, since reaching the depth
+    test certifies rho(sqrt(gamma) * Acl) < 1 (see :class:`SteinOperator`),
+    and a NoConvergence from them means it does not, as for a loop that is
+    not finite. Such a refusal can also come from a closed loop that an
     eigenvalue solve calls stable: one so non-normal that its powers
     overflow before they decay. Conversely, the rounded powers of such a
     loop can decay although it is unstable by 1e-9 to 1e-6; its solves
@@ -355,6 +360,21 @@ def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
         return closed_loop_operator(prob, Acl)
     except NoConvergence:
         return None
+
+
+def _eigvals(prob: LqrProblem, Acl: np.ndarray) -> np.ndarray:
+    """Eigenvalues of sqrt(gamma) * Acl for one closed loop or a (k, n, n)
+    stack. Every eigenvalue of a loop that is not finite is inf, so its
+    margin is -inf and the stability rule refuses it. Finite loops cost
+    one eigenvalue call and nothing more."""
+    F = np.sqrt(prob.gamma) * Acl
+    try:
+        return np.linalg.eigvals(F)
+    except np.linalg.LinAlgError:  # raised for a non-finite entry
+        finite = np.isfinite(F).all(axis=(-2, -1))
+        mu = np.full(F.shape[:-1], np.inf, dtype=complex)
+        mu[finite] = np.linalg.eigvals(F[finite])
+        return mu
 
 
 def _sq_norm(X: np.ndarray) -> np.ndarray:

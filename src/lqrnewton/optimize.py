@@ -238,29 +238,22 @@ def search_direction(method: str, ev: Evaluation) -> np.ndarray:
 
 def _trial(prob: LqrProblem, theta0: np.ndarray, alpha: float,
            direction: np.ndarray) -> Optional[Evaluation]:
-    """The Evaluation at the trial gain theta0 + alpha * direction, or None
-    where the step overflows and leaves that gain non-finite."""
-    # such a trial is refused, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
-                                                    prob.m, prob.n))
-        except ValueError:  # Gain refuses non-finite entries
-            return None
-
-
-def _trial_cost(trial: Optional[Evaluation]) -> Optional[float]:
-    """J at a trial gain, or None for a trial that is refused: not finite
-    (None), not stabilizing, with a closed loop that overflows (whose
-    eigenvalue solve raises LinAlgError), or certified by its doubling
-    powers although its value solve misses the residual bound (a loop
-    unstable by round-off)."""
-    if trial is None:
-        return None
+    """The Evaluation at the trial gain theta0 + alpha * direction, with J
+    read, or None for a trial that is refused: one whose gain is not finite
+    (refused by Gain), that is not stabilizing (including a closed loop
+    that overflows), or that its doubling powers certify although its value
+    solve misses the residual bound (a loop unstable by round-off)."""
     try:
-        return trial.J if trial.stabilizing else None
-    except (NoConvergence, np.linalg.LinAlgError):
-        return None
+        # a step that overflows is refused, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
+                                                     prob.m, prob.n))
+        if trial.stabilizing:
+            trial.J  # read here, so a solve that misses its bound refuses the trial
+            return trial
+    except (ValueError, NoConvergence):
+        pass
+    return None
 
 
 def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
@@ -274,18 +267,16 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
     as Armijo failures.
     Raises LineSearchFailure when max_backtracks shrinks are exhausted.
 
-    The first block of trials holds trials 0 .. depth_hint, where run
-    passes the depth of its previous search, so that it reaches the trial
-    that search accepted; later trials go one at a time. A block of
-    several trials is evaluated as stacks (:class:`Trials`), and a single
-    trial as an :class:`Evaluation`, which costs less than a stack of one.
-    A block computes trials past the accepted one only when the search ends
-    shallower than the hint, so for n > _BLOCK_MAX_DIM, where such a trial
-    costs more than the call a block saves, every block is one trial. The
-    schedule sets how much work is done, never the result: the accepted
-    trial is handed on with the bits a trial-by-trial search gives it, and
-    a block that raises is evaluated again one trial at a time, so an error
-    surfaces only at a trial that a trial-by-trial search reaches.
+    A first block holds trials 0 .. depth_hint, where run passes the depth
+    of its previous search, so that it reaches the trial that search
+    accepted, and is evaluated as stacks (:class:`Trials`); the trials
+    after it go one at a time, each an :class:`Evaluation`, which costs
+    less than a stack of one. A block computes trials past the accepted
+    one only when the search ends shallower than the hint, so for
+    n > _BLOCK_MAX_DIM, where such a trial costs more than the call a
+    block saves, there is no block. The schedule sets how much work is
+    done, never the result: the accepted trial is handed on with the bits
+    a trial-by-trial search gives it.
     """
     theta0 = gain.theta
     if not np.any(direction):
@@ -298,31 +289,24 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
         # Armijo: the cost must fall to J0 + c * alpha * slope or below
         return J0 + cfg.c_armijo * alpha * slope
 
-    j, alpha = 0, cfg.alpha
-    size = depth_hint + 1 if prob.n <= _BLOCK_MAX_DIM else 1
-    while j <= cfg.max_backtracks:
-        size = min(size, cfg.max_backtracks + 1 - j)
-        if size == 1:
-            trial = _trial(prob, theta0, alpha, direction)
-            J = _trial_cost(trial)
-            if J is not None and J <= bound(alpha):
-                return alpha, trial, j
-            j, alpha = j + 1, alpha * cfg.shrink
-            continue
+    first, alpha = 0, cfg.alpha
+    size = min(depth_hint, cfg.max_backtracks) + 1 if prob.n <= _BLOCK_MAX_DIM else 1
+    if size > 1:
         # repeated multiplication, the same floats as alpha *= shrink
         alphas = np.multiply.accumulate([alpha] + [cfg.shrink] * (size - 1))
-        try:
-            trials = Trials(prob, theta0, direction, alphas)
-        except (ValueError, NoConvergence, np.linalg.LinAlgError):
-            size = 1  # evaluate the block again, one trial at a time
-            continue
-        ok = trials.stabilizing & (trials.J <= bound(alphas))
+        trials = Trials(prob, theta0, direction, alphas)
+        # a bound that overflows is -inf, which no trial meets
+        with np.errstate(over="ignore"):
+            ok = trials.stabilizing & (trials.J <= bound(alphas))
         if ok.any():
             i = int(ok.argmax())
-            return float(alphas[i]), trials.evaluation(i), j + i
-        j += size
-        alpha = float(alphas[-1]) * cfg.shrink
-        size = 1
+            return float(alphas[i]), trials.evaluation(i), i
+        first, alpha = size, float(alphas[-1]) * cfg.shrink
+    for j in range(first, cfg.max_backtracks + 1):
+        trial = _trial(prob, theta0, alpha, direction)
+        if trial is not None and trial.J <= bound(alpha):
+            return alpha, trial, j
+        alpha *= cfg.shrink
     raise LineSearchFailure(
         f"no stabilizing Armijo step within {cfg.max_backtracks} backtracks")
 
@@ -392,8 +376,7 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
 
         if cfg.step_mode == "fixed":
             trial = _trial(prob, gain.theta, cfg.alpha, direction)
-            # the next record reads J anyway
-            if _trial_cost(trial) is None:
+            if trial is None:
                 record(0.0, 0)
                 rec.flag = "left_stabilizing_set"
                 break

@@ -83,13 +83,32 @@ class TestConfigParsing:
         ([0.0, 1.0, -1], "steps"), ([0.0, 1.0, 0], "steps"),
         ([0.0, float("inf"), 3], "finite"), ([float("nan"), 1.0, 3], "finite"),
         ([0.0, 1.0, float("inf")], "expected"), ([0.0, 1.0], "expected"),
-        ([0.0, 1.0, 2.7], "integer"), ([0.0, 1.0, True], "integer")],
+        ([0.0, 1.0, 2.7], "integer"), ([0.0, 1.0, True], "integer"),
+        (["0.0", 1.0, 3], "expected a number")],
         ids=["negative-steps", "zero-steps", "infinite-bound", "nan-bound",
-             "infinite-steps", "missing-steps", "fractional-steps", "bool-steps"])
+             "infinite-steps", "missing-steps", "fractional-steps", "bool-steps",
+             "string-bound"])
     def test_landscape_ranges_validated(self, theta1, message):
         doc = {"problem": {"generator": "pendulum"},
                "landscape": {"theta1": theta1, "theta2": [0.0, 1.0, 3]}}
         with pytest.raises(ConfigError, match=rf"landscape\.theta1: .*{message}"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("problem, method, where", [
+        ({"gamma": "0.9"}, {}, r"problem\.gamma"),
+        ({"A": "0.5"}, {}, r"problem\.A"),
+        ({}, {"alpha": "1.0"}, r"methods\[0\]\.alpha"),
+        ({}, {"grad_tol": "1e-8"}, r"methods\[0\]\.grad_tol"),
+        ({"generator": "shear_building", "floors": "3"}, {}, r"problem\.floors")],
+        ids=["gamma", "A", "alpha", "grad_tol", "floors"])
+    def test_a_string_is_not_a_number(self, problem, method, where):
+        inline = {"A": [[0.5]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+                  "gamma": 0.9, "Sigma_w": [[1.0]], "Sigma_0": [[1.0]]}
+        doc = {"problem": {**inline, **problem}, "seed": 0,
+               "methods": [{"method": "newton", **method}]}
+        if "generator" in problem:
+            doc["problem"] = problem
+        with pytest.raises(ConfigError, match=rf"^{where}: expected a number$"):
             config_from_dict(doc)
 
     def test_bad_json_reports_line(self, tmp_path):
@@ -316,6 +335,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert "flag=left_stabilizing_set" in captured.out
         assert "Traceback" not in captured.err
+
+    def test_a_gain_whose_closed_loop_overflows_is_refused_without_a_traceback(
+            self, tmp_path, capsys):
+        # the gains are finite, but B K overflows
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        doc = {"problem": {"A": [[1.2, 0.0], [0.0, 1.0]], "B": [[1e6], [0.0]], "Q": eye,
+                           "R": [[1.0]], "gamma": 0.9, "Sigma_w": eye, "Sigma_0": eye},
+               "gain": [[1e305, 1e305]], "seed_gain": [[1e305, 1e305]],
+               "landscape": {"theta1": [1e305, 2e305, 2], "theta2": [0.0, 1.0, 2]}}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        # numpy may warn about the overflow before the refusal
+        with np.errstate(over="ignore"):
+            assert cli.main(["solve", "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: NotStabilizing") and "Traceback" not in err
+            assert cli.main(["optimize", "--config", str(path), "--method", "newton"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: SeedNotStabilizing") and "Traceback" not in err
+            assert cli.main(["landscape", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "landscape.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 4 and all(row.endswith(",,false") for row in rows)
 
     def test_a_config_too_large_to_allocate_exits_without_a_traceback(
             self, tmp_path, capsys, monkeypatch):

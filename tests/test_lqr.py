@@ -122,6 +122,23 @@ class TestStabilizing:
             ok_lo, _ = is_gamma_stabilizing(lo, K)
             assert ok_lo
 
+    @pytest.mark.parametrize("A, B", [([[1.2]], [[1e6]]),
+                                      (np.diag([1.2, 1.0]), [[1e6], [0.0]]),
+                                      (np.diag([1.2] + [1.0] * 11), [[1e6]] + [[0.0]] * 11)],
+                             ids=["n=1", "n=2", "n=12"])
+    def test_a_closed_loop_that_overflows_is_not_stabilizing(self, A, B):
+        # the gain is finite, but B K is not; n = 12 is on the doubling branch
+        n = len(A)
+        p = LqrProblem(A=A, B=B, Q=np.eye(n), R=[[1.0]], gamma=0.9,
+                       Sigma_w=np.eye(n), Sigma_0=np.eye(n))
+        gain = Gain(np.full((1, n), 1e305))
+        with np.errstate(over="ignore"):
+            ev = Evaluation(p, gain)
+            assert not ev.stabilizing and ev.margin == -np.inf
+            assert is_gamma_stabilizing(p, gain) == (False, -np.inf)
+            with pytest.raises(NotStabilizing, match="= inf >= 1"):
+                solve_value(p, gain)
+
 
 class TestSolveValue:
     def test_scalar_closed_form(self, scalar_prob, scalar_gain):
@@ -573,6 +590,10 @@ class TestOptimalGain:
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence):
                 optimal_gain(p, max_iter=50)
+
+    def test_iteration_budget_raises(self):
+        with pytest.raises(NoConvergence, match="did not converge in 1 iterations"):
+            optimal_gain(make_pendulum(), max_iter=1)
 
     @pytest.mark.parametrize("A, Q", [(2.0 * np.eye(2), np.zeros((2, 2))),
                                       (np.diag([0.5, 2.0]), np.diag([1.0, 0.0]))],

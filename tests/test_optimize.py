@@ -46,6 +46,12 @@ class TestSearchDirection:
         for method in ("first_order", "gauss_newton", "newton"):
             np.testing.assert_array_equal(search_direction(method, ev), np.zeros(2))
 
+    def test_an_ascent_direction_is_refused(self, pendulum, monkeypatch):
+        prob, _, seed = pendulum
+        monkeypatch.setattr(optimize, "_newton_cg", lambda ev: ev.grad)
+        with pytest.raises(DirectionError, match="not a descent direction"):
+            search_direction("newton", Evaluation(prob, seed))
+
     def test_first_order_is_negative_gradient(self, pendulum):
         prob, _, seed = pendulum
         ev = Evaluation(prob, seed)
@@ -309,6 +315,19 @@ class TestRun:
         assert rec.flag == "line_search_failure"
         assert rec.iterations == 0
 
+    def test_direction_error_carries_the_record(self, pendulum, monkeypatch):
+        prob, k_star, seed = pendulum
+        monkeypatch.setattr(optimize, "_newton_cg", lambda ev: ev.grad)
+        cfg = OptimizerConfig(method="newton", seed_gain=seed, max_iter=10)
+        with pytest.raises(DirectionError) as info:
+            run(prob, cfg, k_star=k_star)
+        rec = info.value.record
+        assert rec.flag == "direction_error" and rec.iterations == 0
+        assert rec.final_gain is seed and rec.gains == [seed]
+        last = rec.steps[-1]
+        assert last.alpha_used == 0.0 and last.backtracks == 0
+        assert last.J == performance(prob, seed)
+
     def test_zero_seed_default(self, scalar_prob):
         cfg = OptimizerConfig(method="newton", grad_tol=1e-9, max_iter=20)
         rec = run(scalar_prob, cfg)
@@ -453,22 +472,6 @@ class TestLadder:
         slices = sum(len(stack_slices(a)) for a, in eig)
         assert slices == (hint + 1 if stacked else want[2] + 1)
 
-    def test_a_block_that_raises_is_searched_trial_by_trial(self, plants, monkeypatch):
-        prob = plants["pendulum"]
-        ev, d = _search_start(prob, "first_order")
-        cfg = OptimizerConfig(alpha=1.0)
-        want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg)
-        solve = lqr.SteinOperator.solve
-
-        def single_slices_only(op, M, transpose=False):
-            if op.G.ndim == 3 and len(op.G) > 1:
-                raise NoConvergence("stacked solve refused")
-            return solve(op, M, transpose)
-
-        monkeypatch.setattr(lqr.SteinOperator, "solve", single_slices_only)
-        self.assert_same(_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=60),
-                         want)
-
     def test_non_finite_trial_gain_is_refused(self, plants):
         prob = plants["pendulum"]
         ev, d = _search_start(prob, "first_order")
@@ -487,6 +490,17 @@ class TestLadder:
             self.assert_same(_backtrack(*args, cfg, depth_hint=hint), (a, trial, j0 + j))
             with pytest.raises(LineSearchFailure):
                 _backtrack(*args, replace(cfg, max_backtracks=j0 - 1), depth_hint=hint)
+
+    def test_trials_refuse_a_non_finite_trial_without_raising(self, plants):
+        prob = plants["pendulum"]
+        ev, d = _search_start(prob, "first_order")
+        # the first trial gain overflows, the second's closed loop is huge
+        alphas = np.array([1e308, 1e300, 1e-9])
+        trials = derivatives.Trials(prob, ev.gain.theta, d, alphas)
+        np.testing.assert_array_equal(trials.stabilizing, [False, False, True])
+        assert np.isnan(trials.J[:2]).all() and trials.margin[0] == -np.inf
+        assert trials.J[2] == Evaluation(prob, Gain.from_theta(ev.gain.theta + 1e-9 * d,
+                                                               1, 2)).J
 
     @pytest.mark.parametrize("mode, flag", [("fixed", "left_stabilizing_set"),
                                             ("backtracking", "line_search_failure")])
