@@ -144,7 +144,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a gain whose closed loop overflows is refused (NotStabilizing,
+        # SeedNotStabilizing, a landscape cell marked false); numpy's warning
+        # about that overflow would only come before the refusal
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

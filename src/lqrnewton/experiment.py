@@ -64,10 +64,17 @@ class ExperimentConfig:
 
 
 def _number(node, path: str):
-    """A JSON number, unchanged; a string, a bool or anything else is refused."""
+    """A JSON number, unchanged; a string, a bool, an integer beyond float
+    range or anything else is refused."""
     # a JSON true is an int to isinstance
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    # JSON integers are exact: 10**400 would pass 0 < alpha < inf, then fail
+    # in the first float operation
+    try:
+        float(node)
+    except OverflowError:
+        raise ConfigError(f"{path}: number beyond float range") from None
     return node
 
 
@@ -75,14 +82,14 @@ def _matrix(node, path: str) -> np.ndarray:
     # dtype=float would also take "0.5" and true; a ragged nesting leaves
     # lists among the entries
     arr = np.array(node, dtype=object)
-    for x in arr.flat:
-        _number(x, path)
-    arr = arr.astype(float)  # OverflowError for an int beyond float range
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
+    # before arr.flat, which raises RuntimeError past 32 dimensions
     if arr.ndim != 2:
         raise ConfigError(f"{path}: expected a 2-D row-major array, got ndim={arr.ndim}")
-    return arr
+    for x in arr.flat:
+        _number(x, path)
+    return arr.astype(float)
 
 
 def _gain(node, path: str, prob: LqrProblem) -> Gain:
@@ -228,8 +235,9 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
 def load_config(path, output_dir=None, seed=None) -> ExperimentConfig:
     """Read and validate a JSON config file; ``seed`` overrides the file's.
 
-    Unreadable files and JSON syntax errors (with their line and column)
-    raise ConfigError; field errors carry the field path.
+    Unreadable files, JSON syntax errors (with their line and column) and
+    integers too long to parse raise ConfigError; field errors carry the
+    field path.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -241,6 +249,9 @@ def load_config(path, output_dir=None, seed=None) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:
+        # an integer of more digits than Python converts (4300 by default)
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if seed is not None and isinstance(doc, dict):
         doc["seed"] = seed
     return config_from_dict(doc, output_dir=output_dir)

@@ -146,14 +146,22 @@ class LqrProblem:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+# slots: a RunRecord keeps one gain per iterate, and a slotted gain is its
+# matrix and 40 bytes
+@dataclass(frozen=True, slots=True)
 class Gain:
-    """Linear state-feedback gain K (policy a = -K s) with theta = vec(K)."""
+    """Linear state-feedback gain K (policy a = -K s) with theta = vec(K).
+
+    K is the gain's own copy of the matrix it is given.
+    """
 
     K: np.ndarray
 
     def __post_init__(self):
-        K = _as_matrix(self.K, "K")
+        # a view would keep the array it was cut from (a trial's theta, a
+        # line-search block's stack) for as long as a RunRecord keeps the
+        # gain, and would change with it
+        K = _as_matrix(np.array(self.K, dtype=float), "K")
         object.__setattr__(self, "K", K)
 
     @property

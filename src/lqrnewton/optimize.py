@@ -20,6 +20,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -42,11 +43,8 @@ STEP_MODES = ("fixed", "backtracking")
 # its slowest slice's depth, so its slices would not, though a slice there
 # costs less than a call (0.03 against 0.17 ms at n = 12).
 _BLOCK_MAX_DIM = 8
-# Newton-CG stops once ||H d + grad|| <= _CG_RTOL * ||grad||. A fixed
-# tolerance keeps the local quadratic rate (1e-10 does too); the forcing
-# term min(0.5, sqrt(||grad||)) loses it on the pendulum, where ||grad||
-# starts near 1.5e4: acceptance criterion 07 then sees an error ratio
-# e_{k+1} / e_k^2 of 1.9e6 against its limit of 1e3.
+# Floor of Newton-CG's forcing term eta (see _newton_cg): no system is
+# solved past ||H d + grad|| <= 1e-12 ||grad||.
 _CG_RTOL = 1e-12
 
 
@@ -60,8 +58,9 @@ class OptimizerConfig:
     """Settings for one optimizer run.
 
     method      : first_order | gauss_newton | newton; newton's direction
-                  is truncated preconditioned CG on Hessian-vector products
-                  (see search_direction), which has no settings of its own
+                  is truncated preconditioned CG on Hessian-vector products,
+                  stopped by a forcing term (see search_direction), which
+                  has no settings of its own
     step_mode   : "fixed" (always step alpha) or "backtracking" (Armijo,
                   starting from alpha and shrinking)
     alpha       : fixed step, or the initial step for backtracking;
@@ -114,8 +113,7 @@ class _MarginOnRead:
             setattr(rec, self.key, margin)
         return margin
 
-    # plain attribute access, not rec.__dict__, which would give every
-    # record a dictionary of its own in place of its inline attributes
+    # the value lives in the record's slot named self.key
     def __set__(self, rec, margin):
         setattr(rec, self.key, margin)
 
@@ -132,6 +130,11 @@ class IterateRecord:
     of its own. The record then keeps a reference to the problem and the
     gain until that read; equality and repr compare and show the float.
     """
+
+    # a RunRecord keeps one record per iterate; without slots each would
+    # carry an instance dictionary too
+    __slots__ = ("k", "J", "grad_norm", "gain_error", "alpha_used", "backtracks",
+                 "_stabilizing_margin")
 
     k: int
     J: float
@@ -165,13 +168,21 @@ def _newton_cg(ev: Evaluation) -> np.ndarray:
     """The Newton direction of search_direction: H_exact d = -grad solved
     by preconditioned CG on ``ev.hvp``.
 
-    The preconditioner is the inverse Gauss-Newton map
+    The preconditioner M^-1 is the inverse Gauss-Newton map
     r -> vec(E^-1 R Sigma^-1) / 2, with Sigma's Cholesky factor computed
     once, or r -> vec(E^-1 R) / 2 where Sigma has none. CG stops when the
-    residual falls to _CG_RTOL * ||grad||, after m*n iterations, or at the
-    first direction p with p'Hp <= 0: at the first iteration it then
-    returns Hewer's step -vec(E^-1 S), later the iterate it has reached,
-    which is a descent direction since every curvature before was positive.
+    residual falls to eta * ||grad|| (inexact Newton), after m*n
+    iterations, or at the first direction p with p'Hp <= 0: at the first
+    iteration it then returns Hewer's step -vec(E^-1 S), later the iterate
+    it has reached, which is a descent direction since every curvature
+    before was positive.
+
+    The forcing term is eta = max(min(0.1, sqrt(grad' M^-1 grad / J)),
+    _CG_RTOL). The Gauss-Newton decrement grad' M^-1 grad is CG's first
+    r'z and has the units of J, so eta does not change with the scale of
+    the plant, as a term read from ||grad|| would; near the optimum it is
+    O(||grad||), which keeps Newton's local rate quadratic (Dembo,
+    Eisenstat & Steihaug, 1982).
     """
     g, m, n = ev.grad, ev.prob.m, ev.prob.n
     E_inv = np.linalg.inv(ev.E) / 2.0
@@ -190,7 +201,8 @@ def _newton_cg(ev: Evaluation) -> np.ndarray:
     r = -g
     z = precondition(r)
     p, rz = z, float(r @ z)
-    stop = (_CG_RTOL * np.linalg.norm(g)) ** 2
+    eta = max(min(0.1, math.sqrt(rz / ev.J)), _CG_RTOL)
+    stop = (eta * np.linalg.norm(g)) ** 2
     for i in range(m * n):
         Hp = ev.hvp(p)
         curvature = float(p @ Hp)
@@ -215,7 +227,9 @@ def search_direction(method: str, ev: Evaluation) -> np.ndarray:
     -H_gn^-1 grad wherever Sigma is invertible and is defined wherever E
     is. newton: -H_exact^-1 grad by truncated preconditioned CG on
     Hessian-vector products (see :func:`_newton_cg`), so neither H_exact
-    nor the dP stack is formed; where CG meets negative curvature the
+    nor the dP stack is formed. CG solves the system to a relative
+    residual eta, the forcing term, which falls with the Gauss-Newton
+    decrement from 0.1 to 1e-12; where CG meets negative curvature the
     direction is Hewer's step or the CG iterate reached. A zero gradient
     gives a zero direction. Raises DirectionError when the result is not a
     descent direction.

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -111,10 +112,51 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^{where}: expected a number$"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"gain": [[10 ** 400, 1]]}, "gain"),
+        ({"seed_gain": [[1, -10 ** 400]]}, "seed_gain"),
+        ({"methods": [{"method": "newton", "seed_gain": [[10 ** 400, 1]]}]},
+         r"methods\[0\]\.seed_gain"),
+        ({"methods": [{"method": "newton", "alpha": 10 ** 400}]}, r"methods\[0\]\.alpha")],
+        ids=["gain", "seed_gain", "method-seed_gain", "alpha"])
+    def test_an_integer_beyond_float_range_is_refused(self, tmp_path, capsys, doc, where):
+        # JSON integers are exact; 10**400 passes 0 < alpha < inf
+        doc = {"problem": {"generator": "pendulum"}, **doc}
+        with pytest.raises(ConfigError, match=rf"^{where}: number beyond float range$"):
+            config_from_dict(doc)
+        path = write_config(tmp_path, doc)
+        assert cli.main(["experiment", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, where", [("gain", "gain"), ("A", r"problem\.A")],
+                             ids=["gain", "A"])
+    def test_a_nesting_deeper_than_a_matrix_is_refused(self, field, where):
+        # 40 levels: numpy iterates over at most 32
+        deep = [1.0]
+        for _ in range(39):
+            deep = [deep]
+        inline = {"A": [[0.5]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+                  "gamma": 0.9, "Sigma_w": [[1.0]], "Sigma_0": [[1.0]]}
+        doc = ({"problem": inline, "gain": deep} if field == "gain"
+               else {"problem": {**inline, "A": deep}})
+        with pytest.raises(ConfigError,
+                           match=rf"^{where}: expected a 2-D row-major array, got ndim=40$"):
+            config_from_dict(doc)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "problem": ,\n}', encoding="utf-8")
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(path)
+
+    def test_an_integer_too_long_to_parse_is_a_config_error(self, tmp_path):
+        # json.loads raises a plain ValueError past 4300 digits
+        path = tmp_path / "long.json"
+        path.write_text('{"problem": {"generator": "pendulum"}, "gain": [[1'
+                        + "0" * 5000 + ', 1]]}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 
     def test_duplicate_method_labels(self):
@@ -346,15 +388,20 @@ class TestCli:
                "landscape": {"theta1": [1e305, 2e305, 2], "theta2": [0.0, 1.0, 2]}}
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        # numpy may warn about the overflow before the refusal
-        with np.errstate(over="ignore"):
+        # the refusal is all that is reported: no numpy overflow warning first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli.main(["solve", "--config", str(path)]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: NotStabilizing") and "Traceback" not in err
+            solve_err = capsys.readouterr().err
             assert cli.main(["optimize", "--config", str(path), "--method", "newton"]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: SeedNotStabilizing") and "Traceback" not in err
+            optimize_err = capsys.readouterr().err
             assert cli.main(["landscape", "--config", str(path), "--out", str(out)]) == 0
+            landscape_err = capsys.readouterr().err
+        assert solve_err.startswith("error: NotStabilizing") and "Traceback" not in solve_err
+        assert (optimize_err.startswith("error: SeedNotStabilizing")
+                and "Traceback" not in optimize_err)
+        assert "RuntimeWarning" not in solve_err + optimize_err + landscape_err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         rows = (out / "landscape.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 4 and all(row.endswith(",,false") for row in rows)
 

@@ -66,6 +66,13 @@ class TestGain:
         g = Gain.from_theta(np.array([1.0, 3.0, 2.0, 4.0]), 2, 2)
         np.testing.assert_array_equal(g.K, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_a_gain_owns_its_matrix(self):
+        # a trial gain cut from theta, kept by a RunRecord, keeps no more
+        theta = np.array([1.0, 3.0, 2.0, 4.0])
+        g = Gain.from_theta(theta, 2, 2)
+        theta[0] = 9.0
+        assert g.K[0, 0] == 1.0 and g.K.base is None
+
 
 class TestClosedLoop:
     def test_zero_gain_returns_A(self):

@@ -121,6 +121,37 @@ class TestNewtonCG:
         assert rec.converged and rec.flag is None
         assert rec.steps[-1].gain_error <= 1e-9 * np.linalg.norm(rec.k_star.K)
 
+    @pytest.mark.parametrize("plant, r_inflation", [
+        *[((floors, seed), 2.0) for floors in (5, 10, 24) for seed in range(4)],
+        *[("pendulum", r) for r in (3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)]],
+        ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else str(x))
+    def test_the_forcing_term_keeps_the_local_quadratic_rate(self, plant, r_inflation):
+        prob = (make_pendulum() if plant == "pendulum"
+                else make_shear_building(floors=plant[0], seed=plant[1]))
+        k_star, _ = optimal_gain(prob, tol=1e-12)
+        cfg = OptimizerConfig(method="newton", step_mode="fixed", alpha=1.0,
+                              seed_gain=initial_gain(prob, r_inflation=r_inflation),
+                              grad_tol=1e-12, max_iter=40)
+        e = run(prob, cfg, k_star=k_star).column("gain_error")
+        # an error at round-off (about 6e-13 on the buildings) says nothing
+        # of the rate: a pair that ends there reads up to 1e9 either way
+        floor = 1e3 * np.finfo(float).eps * np.linalg.norm(k_star.K)
+        ratios = [e[k + 1] / e[k] ** 2 for k in range(len(e) - 1)
+                  if e[k] <= 2.0 and e[k + 1] >= floor]
+        assert ratios and max(ratios) <= 1e3
+
+    def test_the_forcing_term_bounds_the_products(self, monkeypatch):
+        # criterion 07's building; CG solved to round-off makes 27 products
+        # here, stopped at the forcing term 12
+        prob = make_shear_building(seed=0)
+        k_star, _ = optimal_gain(prob, tol=1e-12)
+        hvp = count_calls(monkeypatch, Evaluation, "hvp")
+        cfg = OptimizerConfig(method="newton", step_mode="fixed", alpha=1.0,
+                              seed_gain=initial_gain(prob, r_inflation=2.0),
+                              grad_tol=1e-12, max_iter=40)
+        rec = run(prob, cfg, k_star=k_star)
+        assert rec.converged and len(hvp) <= 15
+
     def test_negative_curvature_first_returns_hewer_step(self, pendulum):
         prob, _, seed = pendulum
         ev = Evaluation(prob, seed)
