@@ -11,14 +11,14 @@ from .errors import (ConfigError, DimensionUnsupported, DirectionError,
                      NotStabilizing, PerturbationLeftStabilizingSet,
                      SeedNotStabilizing, SingularT)
 from .linalg import expm, kron, psd_sqrt, spectral_radius, unvec, vec
-from .lqr import (Gain, LqrProblem, ValueSolution, action_value_at,
-                  closed_loop, is_gamma_stabilizing, optimal_gain,
-                  performance, solve_sigma, solve_value, value_at)
+from .lqr import (Gain, LqrProblem, ValueSolution, closed_loop,
+                  is_gamma_stabilizing, optimal_gain, performance,
+                  solve_sigma, solve_value)
 from .derivatives import (Evaluation, exact_hessian, gn_hessian,
                           hessian_vector_product, jacobian_vecP, lambda_term,
                           policy_gradient)
-from .optimize import (IterateRecord, OptimizerConfig, RunRecord,
-                       backtracking_search, run, search_direction)
+from .optimize import (IterateRecord, OptimizerConfig, RunRecord, run,
+                       search_direction)
 from .oracles import (McEstimate, ScalarReport, discounted_moment_series,
                       fd_gradient, fd_hessian, fd_hvp, lambda_via_Mi,
                       monte_carlo_J, scalar_reference)
@@ -36,14 +36,14 @@ __all__ = [
     "LineSearchFailure", "LqrError", "NoConvergence", "NotStabilizing",
     "PerturbationLeftStabilizingSet", "SeedNotStabilizing", "SingularT",
     "expm", "kron", "psd_sqrt", "spectral_radius", "unvec", "vec",
-    "Gain", "LqrProblem", "ValueSolution", "action_value_at", "closed_loop",
+    "Gain", "LqrProblem", "ValueSolution", "closed_loop",
     "is_gamma_stabilizing", "optimal_gain", "performance", "solve_sigma",
-    "solve_value", "value_at",
+    "solve_value",
     "Evaluation", "exact_hessian", "gn_hessian", "hessian_vector_product",
     "jacobian_vecP",
     "lambda_term", "policy_gradient",
-    "IterateRecord", "OptimizerConfig", "RunRecord", "backtracking_search",
-    "run", "search_direction",
+    "IterateRecord", "OptimizerConfig", "RunRecord", "run",
+    "search_direction",
     "McEstimate", "ScalarReport", "discounted_moment_series", "fd_gradient",
     "fd_hessian", "fd_hvp", "lambda_via_Mi", "monte_carlo_J", "scalar_reference",
     "LandscapeGrid", "default_landscape_window", "initial_gain", "landscape",

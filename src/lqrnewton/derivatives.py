@@ -57,8 +57,7 @@ import numpy as np
 from .errors import SingularT
 from .linalg import kron, vec
 from .lqr import (Gain, LqrProblem, SteinOperator, ValueSolution, _certified_operator,
-                  _cost_of, _eigvals, _not_stabilizing, _value_of, closed_loop,
-                  closed_loop_operator, solve_sigma, solve_value)
+                  _eigvals, _not_stabilizing, closed_loop, solve_sigma, solve_value)
 
 _COND_LIMIT = 1e14
 
@@ -167,7 +166,7 @@ class Evaluation:
     @cached
     def J(self) -> float:
         """Performance tr(P Sigma_0) + q."""
-        return float(_cost_of(self.prob, self.P, self.q))
+        return float(np.trace(self.P @ self.prob.Sigma_0) + self.q)
 
     @cached
     def S(self) -> np.ndarray:
@@ -281,57 +280,6 @@ class Evaluation:
         """H_gn + gamma * Lambda; exactly symmetric as computed, since both
         terms are."""
         return self.H_gn + self.prob.gamma * self.Lambda
-
-
-class Trials:
-    """Line-search trial gains theta0 + alpha_j * direction, one per entry of
-    ``alphas``, evaluated as stacks.
-
-    One eigenvalue call checks every trial and one Stein call solves P for
-    the stabilizing ones; a non-stabilizing trial is never solved. The
-    margin, P, q and J formulas are the ones :class:`Evaluation` uses,
-    broadcast over the trials (see :class:`SteinOperator` for when a
-    stacked P can differ from a solve of its own in the last bits). ``stabilizing``
-    and ``J`` (NaN where not stabilizing) are vectors over the trials. A
-    trial whose gain or closed loop overflows is not stabilizing, by the
-    rule of lqr._eigvals, and raises nothing.
-    """
-
-    def __init__(self, prob: LqrProblem, theta0: np.ndarray, direction: np.ndarray,
-                 alphas: np.ndarray):
-        k = len(alphas)
-        # row j is vec(K_j); unvec each row into the view Gain.from_theta gives
-        # an overflowing trial is refused by _eigvals, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = (theta0 + alphas[:, None] * direction).reshape(k, prob.n, prob.m)
-            K = K.swapaxes(-1, -2)
-            Acl = prob.A - prob.B @ K
-        self.prob, self.K, self.Acl = prob, K, Acl
-        self.eigvals = _eigvals(prob, Acl)
-        self.margin = 1.0 - np.max(np.abs(self.eigvals), axis=-1)
-        self.stabilizing = s = self.margin > 0.0
-        self.J = np.full(k, np.nan)
-        if s.any():
-            if not s.all():
-                K, Acl = K[s], Acl[s]
-            self._stein = closed_loop_operator(prob, Acl)
-            self._P, self._q = _value_of(prob, K, self._stein)
-            self.J[s] = _cost_of(prob, self._P, self._q)
-
-    def evaluation(self, j: int) -> Evaluation:
-        """Trial j's Evaluation, carrying the eigenvalues, margin, stability
-        check, Stein operator, P, q and J computed here."""
-        ev = Evaluation(self.prob, Gain(self.K[j]))
-        ev.eigvals, ev.margin = self.eigvals[j], float(self.margin[j])
-        ev.stabilizing = bool(self.stabilizing[j])
-        if ev.stabilizing:
-            i = int(np.count_nonzero(self.stabilizing[:j]))
-            ev.stein = self._stein.slice(i)
-            # a slice of the stacked LU solve is strided; the products that
-            # form S from it then round differently from a P of its own
-            ev._value = ValueSolution(np.ascontiguousarray(self._P[i]), float(self._q[i]))
-            ev.J = float(self.J[j])
-        return ev
 
 
 def policy_gradient(prob: LqrProblem, gain: Gain) -> np.ndarray:

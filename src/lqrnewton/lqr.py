@@ -158,9 +158,8 @@ class Gain:
     K: np.ndarray
 
     def __post_init__(self):
-        # a view would keep the array it was cut from (a trial's theta, a
-        # line-search block's stack) for as long as a RunRecord keeps the
-        # gain, and would change with it
+        # a view would keep the array it was cut from (a trial's theta)
+        # for as long as a RunRecord keeps the gain, and would change with it
         K = _as_matrix(np.array(self.K, dtype=float), "K")
         object.__setattr__(self, "K", K)
 
@@ -224,23 +223,21 @@ class SteinOperator:
     < 1, factored once and solved for any number of symmetric right-hand
     sides, in G or, with ``transpose=True``, in G'.
 
-    G is one (n, n) matrix, or a (k, n, n) stack whose slices are paired
-    with those of a (k, n, n) right-hand side. :meth:`solve` takes one
-    (n, n) right-hand side or a (k, n, n) stack and returns X of that shape,
-    every slice symmetrized.
+    G is one (n, n) matrix. :meth:`solve` takes one (n, n) right-hand side
+    or a (k, n, n) stack and returns X of that shape, every slice
+    symmetrized.
 
     For n <= 10 the operator holds the LU factors of the vectorized system
-    I - gamma * G (x) G, one per slice of G; its transpose is the system in
-    G', so both equations are solved (getrs, trans=0 or 1) against the same
-    factors. Each slice is refined once with its computed residual, so a
-    paired slice gets the same LAPACK calls as a solve of its own. Larger
-    systems use the squared-iteration form of the same geometric series.
-    The operator computes the powers F, F^2, ..., F^(2^(L-1)) of
-    F = sqrt(gamma) G once, where the depth L is the first with
-    ||F^(2^L)||_F^2 <= 2^-52 (the largest over a stack's slices), and
-    every solve, in G or in G' (the powers read transposed), sums exactly
-    the L levels X + F X F' + F^2 X F^2' + ... . The tail left out is
-    F^(2^L) X F^(2^L)', at most 2^-52 ||X||_F whatever the scale of M.
+    I - gamma * G (x) G; its transpose is the system in G', so both
+    equations are solved (getrs, trans=0 or 1) against the same factors,
+    every slice of a stack in one call, and refined once with its computed
+    residual. Larger systems use the squared-iteration form of the same
+    geometric series. The operator computes the powers F, F^2, ...,
+    F^(2^(L-1)) of F = sqrt(gamma) G once, where the depth L is the first
+    with ||F^(2^L)||_F^2 <= 2^-52, and every solve, in G or in G' (the
+    powers read transposed), sums exactly the L levels
+    X + F X F' + F^2 X F^2' + ... . The tail left out is F^(2^L) X F^(2^L)',
+    at most 2^-52 ||X||_F whatever the scale of M.
     L is kept as ``depth`` (None on the Kronecker branch); since
     rho(F)^(2^L) <= ||F^(2^L)||_F, it bounds rho(F) <= 2^(-26 / 2^L) < 1.
     NoConvergence is raised when a power is not finite or 100 levels do
@@ -254,32 +251,23 @@ class SteinOperator:
         self.G, self.gamma = G, gamma
         n = G.shape[-1]
         if n <= _DIRECT_SOLVE_MAX_DIM:
-            Gs = G.reshape(-1, n, n)
             # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l]
-            T = (Gs[:, :, None, :, None] * Gs[:, None, :, None, :]).reshape(-1, n * n, n * n)
+            T = (G[:, None, :, None] * G[None, :, None, :]).reshape(n * n, n * n)
             T *= -gamma
-            T.reshape(len(T), -1)[:, ::n * n + 1] += 1.0
-            self._lus = [_getrf(t, overwrite_a=True) for t in T]
-            if any(info != 0 for _, _, info in self._lus):
+            T.flat[::n * n + 1] += 1.0
+            self._lu, self._piv, info = _getrf(T, overwrite_a=True)
+            if info != 0:
                 raise np.linalg.LinAlgError("discounted Lyapunov operator is singular")
             self.depth = None
         else:
             self._powers = _doubling_powers(np.sqrt(gamma) * G)
             self.depth = len(self._powers)
 
-    def slice(self, j: int) -> "SteinOperator":
-        """The operator of G[j] for a stacked G on the Kronecker branch,
-        sharing this one's factors."""
-        op = object.__new__(SteinOperator)
-        op.G, op.gamma, op.depth = self.G[j], self.gamma, None
-        op._lus = [self._lus[j]]
-        return op
-
     def solve(self, M: np.ndarray, transpose: bool = False) -> np.ndarray:
         """X = M + gamma * G X G', or X = M + gamma * G' X G with ``transpose``."""
         gamma = self.gamma
-        G = self.G.swapaxes(-1, -2) if transpose else self.G
-        Gt = G.swapaxes(-1, -2)
+        G = self.G.T if transpose else self.G
+        Gt = G.T
         if self.depth is None:
             X = self._lu_solve(M, transpose)
             # one refinement pass keeps the residual near round-off
@@ -296,15 +284,10 @@ class SteinOperator:
         return X
 
     def _lu_solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
-        n, trans = self.G.shape[-1], int(transpose)
-        # the column-major vec of each slice is one column of its G's solve
+        n = len(self.G)
+        # the column-major vec of each slice is one column of the solve
         cols = rhs.swapaxes(-1, -2).reshape(-1, n * n).T
-        if len(self._lus) == 1:
-            (lu, piv, _), = self._lus
-            X = _getrs(lu, piv, cols, trans=trans)[0]
-        else:
-            X = np.column_stack([_getrs(lu, piv, c[:, None], trans=trans)[0]
-                                 for (lu, piv, _), c in zip(self._lus, cols.T, strict=True)])
+        X = _getrs(self._lu, self._piv, cols, trans=int(transpose))[0]
         return X.T.reshape(rhs.shape).swapaxes(-1, -2)
 
     def _doubling(self, X: np.ndarray, transpose: bool) -> np.ndarray:
@@ -312,24 +295,24 @@ class SteinOperator:
         (F = sqrt(gamma) G, or its transpose), symmetrized."""
         for F in self._powers:
             if transpose:
-                F = F.swapaxes(-1, -2)
-            X = X + F @ X @ F.swapaxes(-1, -2)
+                F = F.T
+            X = X + F @ X @ F.T
         return (X + X.swapaxes(-1, -2)) / 2.0
 
 
 def _doubling_powers(F: np.ndarray) -> list[np.ndarray]:
-    """F, F^2, ..., F^(2^(L-1)) for the first L with ||F^(2^L)||_F^2 <= 2^-52
-    in every slice of F. The first 2^L terms of sum_k F^k M F^k' then leave
-    a tail F^(2^L) X F^(2^L)' of norm at most 2^-52 ||X||_F, whatever the
-    scale of M. NoConvergence on a non-finite power or when 100 levels do
-    not reach the test."""
+    """F, F^2, ..., F^(2^(L-1)) for the first L with ||F^(2^L)||_F^2 <= 2^-52.
+    The first 2^L terms of sum_k F^k M F^k' then leave a tail
+    F^(2^L) X F^(2^L)' of norm at most 2^-52 ||X||_F, whatever the scale of
+    M. NoConvergence on a non-finite power or when 100 levels do not reach
+    the test."""
     powers = []
     # a power that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
             if not np.isfinite(F).all():
                 break
-            if (_sq_norm(F) <= 2.0 ** -52).all():
+            if _sq_norm(F) <= 2.0 ** -52:
                 return powers
             powers.append(F)
             F = F @ F
@@ -337,9 +320,9 @@ def _doubling_powers(F: np.ndarray) -> list[np.ndarray]:
 
 
 def closed_loop_operator(prob: LqrProblem, Acl: np.ndarray) -> SteinOperator:
-    """The Stein operator of closed loops Acl = A - B K (one or a stack):
-    P solves in Acl' (``solve``), Sigma in Acl (``solve(..., transpose=True)``)."""
-    return SteinOperator(Acl.swapaxes(-1, -2), prob.gamma)
+    """The Stein operator of a closed loop Acl = A - B K: P solves in Acl'
+    (``solve``), Sigma in Acl (``solve(..., transpose=True)``)."""
+    return SteinOperator(Acl.T, prob.gamma)
 
 
 def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
@@ -371,18 +354,16 @@ def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
 
 
 def _eigvals(prob: LqrProblem, Acl: np.ndarray) -> np.ndarray:
-    """Eigenvalues of sqrt(gamma) * Acl for one closed loop or a (k, n, n)
-    stack. Every eigenvalue of a loop that is not finite is inf, so its
-    margin is -inf and the stability rule refuses it. Finite loops cost
-    one eigenvalue call and nothing more."""
+    """Eigenvalues of sqrt(gamma) * Acl. Every eigenvalue of a loop that is
+    not finite is inf, so its margin is -inf and the stability rule
+    refuses it. A finite loop costs one eigenvalue call and nothing more."""
     F = np.sqrt(prob.gamma) * Acl
     try:
         return np.linalg.eigvals(F)
     except np.linalg.LinAlgError:  # raised for a non-finite entry
-        finite = np.isfinite(F).all(axis=(-2, -1))
-        mu = np.full(F.shape[:-1], np.inf, dtype=complex)
-        mu[finite] = np.linalg.eigvals(F[finite])
-        return mu
+        if np.isfinite(F).all():
+            raise
+        return np.full(len(F), np.inf, dtype=complex)
 
 
 def _sq_norm(X: np.ndarray) -> np.ndarray:
@@ -420,29 +401,11 @@ def solve_value(prob: LqrProblem, gain: Gain, *,
     """
     if stein is None:
         stein = _evaluation(prob, gain).stein
-    P, q = _value_of(prob, gain.K, stein)
+    K = gain.K
+    M = prob.Q + K.T @ prob.R @ K
+    P = stein.solve((M + M.T) / 2.0)
+    q = prob.gamma / (1.0 - prob.gamma) * np.trace(P @ prob.Sigma_w)
     return ValueSolution(P, float(q))
-
-
-def _value_of(prob: LqrProblem, K: np.ndarray,
-              stein: SteinOperator) -> tuple[np.ndarray, np.ndarray]:
-    """P and q of gains K, given the operator of their gamma-stabilizing
-    closed loops (:func:`closed_loop_operator`).
-
-    Broadcasts over leading axes: K of shape (..., m, n) and an operator of
-    a stack of closed loops give P of shape (..., n, n) and q of shape
-    (...), all P solved in one call. The closed loops are not checked here.
-    """
-    M = prob.Q + K.swapaxes(-1, -2) @ prob.R @ K
-    M = (M + M.swapaxes(-1, -2)) / 2.0
-    P = stein.solve(M)
-    q = prob.gamma / (1.0 - prob.gamma) * np.trace(P @ prob.Sigma_w, axis1=-2, axis2=-1)
-    return P, q
-
-
-def _cost_of(prob: LqrProblem, P: np.ndarray, q) -> np.ndarray:
-    """Performance tr(P Sigma_0) + q, broadcast over leading axes of P and q."""
-    return np.trace(P @ prob.Sigma_0, axis1=-2, axis2=-1) + q
 
 
 def solve_sigma(prob: LqrProblem, gain: Gain, *,
@@ -468,33 +431,6 @@ def performance(prob: LqrProblem, gain: Gain) -> float:
     policy: ``Evaluation(prob, gain).J``, checked and raising as in
     :func:`solve_value`."""
     return _evaluation(prob, gain).J
-
-
-def value_at(sol: ValueSolution, s: np.ndarray) -> float:
-    """Evaluate V(s) = s' P s + q."""
-    s = np.asarray(s, dtype=float).ravel()
-    if s.size != sol.P.shape[0]:
-        raise ValueError(f"state length {s.size} does not match P {sol.P.shape}")
-    return float(s @ sol.P @ s) + sol.q
-
-
-def action_value_at(prob: LqrProblem, sol: ValueSolution,
-                    s: np.ndarray, a: np.ndarray) -> float:
-    """Evaluate the action-value of (s, a) under the gain that produced sol.
-
-    Q(s, a) = s'(Q + gamma A' P A)s + 2 gamma s' A' P B a
-              + a'(R + gamma B' P B)a + q,
-    which agrees with value_at(sol, s) at the policy action a = -K s.
-    """
-    s = np.asarray(s, dtype=float).ravel()
-    a = np.asarray(a, dtype=float).ravel()
-    if s.size != prob.n or a.size != prob.m:
-        raise ValueError("state/action dimensions do not match the problem")
-    g, A, B, P = prob.gamma, prob.A, prob.B, sol.P
-    quad_s = float(s @ (prob.Q + g * A.T @ P @ A) @ s)
-    cross = 2.0 * g * float(s @ A.T @ P @ B @ a)
-    quad_a = float(a @ (prob.R + g * B.T @ P @ B) @ a)
-    return quad_s + cross + quad_a + sol.q
 
 
 def optimal_gain(prob: LqrProblem, tol: float = 1e-10,

@@ -7,9 +7,15 @@ For Gauss-Newton, d = -vec(E^-1 S) (Hewer's step), so H_gn is never
 formed. For exact Newton, d solves H_exact d = -grad by preconditioned
 conjugate gradients on Hessian-vector products, so H_exact is never formed
 either; negative curvature ends the solve early (truncated Newton-CG,
-Nocedal & Wright, Algorithm 7.1). Trial gains that leave the
-gamma-stabilizing set (where the cost is undefined) are rejected exactly
-like Armijo failures, so no recorded iterate is ever non-stabilizing.
+Nocedal & Wright, Algorithm 7.1). Newton-type searches start at the unit
+step, which their directions are scaled for. A gradient direction has no
+such scale, so a first-order search after the first starts at the
+previous step times the ratio of the previous slope grad'd to this one
+(Nocedal & Wright, eq. 3.60), which saves most of the trials a restart at
+alpha would reject. Each trial is one Evaluation, and trial gains that
+leave the gamma-stabilizing set (where the cost is undefined) are rejected
+exactly like Armijo failures, so no recorded iterate is ever
+non-stabilizing.
 Above n = 10 that includes a trial whose doubling powers do not certify
 it (see :class:`~lqrnewton.derivatives.Evaluation`), and one they certify
 whose value solve then misses its residual bound.
@@ -29,20 +35,11 @@ import numpy as np
 
 from .errors import DirectionError, LineSearchFailure, NoConvergence, SeedNotStabilizing
 from .lqr import Gain, LqrProblem, optimal_gain
-from .derivatives import Evaluation, Trials
+from .derivatives import Evaluation
 from .linalg import vec
 
 METHODS = ("first_order", "gauss_newton", "newton")
 STEP_MODES = ("fixed", "backtracking")
-# Largest state dimension whose line search sizes its first block of trials
-# by the previous search's depth. A block saves one call per trial it holds
-# and wastes one slice per trial past the accepted one. On a 2-core x86 VM
-# with one BLAS thread, a slice cost less than a call up to n = 8 (at n = 2,
-# 20 us against 110 us). Blocks stay on the Kronecker branch (n <= 10),
-# where each slice has the bits of a solve of its own. A doubling stack runs
-# its slowest slice's depth, so its slices would not, though a slice there
-# costs less than a call (0.03 against 0.17 ms at n = 12).
-_BLOCK_MAX_DIM = 8
 # Floor of Newton-CG's forcing term eta (see _newton_cg): no system is
 # solved past ||H d + grad|| <= 1e-12 ||grad||.
 _CG_RTOL = 1e-12
@@ -62,9 +59,12 @@ class OptimizerConfig:
                   stopped by a forcing term (see search_direction), which
                   has no settings of its own
     step_mode   : "fixed" (always step alpha) or "backtracking" (Armijo,
-                  starting from alpha and shrinking)
-    alpha       : fixed step, or the initial step for backtracking;
-                  positive and finite
+                  shrinking from a first step)
+    alpha       : fixed step, or, for backtracking, the first search's
+                  first step and every search's cap: Newton-type searches
+                  start at alpha, first-order ones after the first at the
+                  previous step scaled by the slope ratio (see run), never
+                  above alpha; positive and finite
     max_backtracks, max_iter : integers, at least 0 and 1
     seed_gain   : starting gain; None means the zero gain
     """
@@ -271,71 +271,46 @@ def _trial(prob: LqrProblem, theta0: np.ndarray, alpha: float,
 
 
 def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
-               grad: np.ndarray, cfg: OptimizerConfig, depth_hint: int = 0):
-    """Armijo backtracking with a stabilization guard.
+               grad: np.ndarray, cfg: OptimizerConfig, alpha0: float):
+    """Armijo backtracking with a stabilization guard, from the step alpha0.
 
     Returns (alpha, trial Evaluation, backtracks) for the first j whose
     step alpha = alpha0 * shrink^j gives a stabilizing gain that meets the
     Armijo decrease; trial gains that are not finite, lie outside the
     stabilizing set, or whose value solve misses its residual bound, count
-    as Armijo failures.
-    Raises LineSearchFailure when max_backtracks shrinks are exhausted.
-
-    A first block holds trials 0 .. depth_hint, where run passes the depth
-    of its previous search, so that it reaches the trial that search
-    accepted, and is evaluated as stacks (:class:`Trials`); the trials
-    after it go one at a time, each an :class:`Evaluation`, which costs
-    less than a stack of one. A block computes trials past the accepted
-    one only when the search ends shallower than the hint, so for
-    n > _BLOCK_MAX_DIM, where such a trial costs more than the call a
-    block saves, there is no block. The schedule sets how much work is
-    done, never the result: the accepted trial is handed on with the bits
-    a trial-by-trial search gives it.
+    as Armijo failures. Each trial is one :class:`Evaluation`, built by
+    :func:`_trial`. Raises LineSearchFailure when max_backtracks shrinks
+    are exhausted.
     """
-    theta0 = gain.theta
     if not np.any(direction):
-        return cfg.alpha, Evaluation(prob, gain), 0
+        return alpha0, Evaluation(prob, gain), 0
     slope = float(grad @ direction)
     if slope >= 0.0:
         raise DirectionError("backtracking requires a descent direction")
-
-    def bound(alpha):
-        # Armijo: the cost must fall to J0 + c * alpha * slope or below
-        return J0 + cfg.c_armijo * alpha * slope
-
-    first, alpha = 0, cfg.alpha
-    size = min(depth_hint, cfg.max_backtracks) + 1 if prob.n <= _BLOCK_MAX_DIM else 1
-    if size > 1:
-        # repeated multiplication, the same floats as alpha *= shrink
-        alphas = np.multiply.accumulate([alpha] + [cfg.shrink] * (size - 1))
-        trials = Trials(prob, theta0, direction, alphas)
-        # a bound that overflows is -inf, which no trial meets
-        with np.errstate(over="ignore"):
-            ok = trials.stabilizing & (trials.J <= bound(alphas))
-        if ok.any():
-            i = int(ok.argmax())
-            return float(alphas[i]), trials.evaluation(i), i
-        first, alpha = size, float(alphas[-1]) * cfg.shrink
-    for j in range(first, cfg.max_backtracks + 1):
+    theta0, alpha = gain.theta, alpha0
+    for j in range(cfg.max_backtracks + 1):
         trial = _trial(prob, theta0, alpha, direction)
-        if trial is not None and trial.J <= bound(alpha):
+        # Armijo: the cost must fall to J0 + c * alpha * slope or below
+        if trial is not None and trial.J <= J0 + cfg.c_armijo * alpha * slope:
             return alpha, trial, j
         alpha *= cfg.shrink
     raise LineSearchFailure(
         f"no stabilizing Armijo step within {cfg.max_backtracks} backtracks")
 
 
-def backtracking_search(prob: LqrProblem, gain: Gain, direction: np.ndarray,
-                        J0: float, grad: np.ndarray,
-                        cfg: OptimizerConfig) -> tuple[float, Gain]:
-    """Public line search: smallest j with alpha = alpha0 * shrink^j whose
-    gain is stabilizing and satisfies the Armijo decrease. Returns
-    (alpha, new_gain); a zero direction returns (alpha0, gain) unchanged.
-    The trials are evaluated as in :func:`run`'s search, from a first
-    block of one trial, since no previous search sizes it.
+def _initial_step(alpha: float, decrease: Optional[float], slope: float) -> float:
+    """The first step of a first-order search: the step whose first-order
+    decrease alpha0 * slope equals the previous search's, ``decrease``
+    (its accepted step times its slope), so alpha0 = decrease / slope
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., eq. 3.60), capped
+    at ``alpha``. A gradient direction carries no step length of its own;
+    this one carries the previous search's over. ``alpha`` where there is
+    no previous search or the ratio is not finite and positive.
     """
-    alpha, trial, _ = _backtrack(prob, gain, direction, J0, grad, cfg)
-    return alpha, trial.gain
+    if decrease is None or not slope < 0.0:
+        return alpha
+    guess = decrease / slope
+    return guess if 0.0 < guess < alpha else alpha
 
 
 def run(prob: LqrProblem, cfg: OptimizerConfig,
@@ -343,7 +318,11 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     """Run the preconditioned update loop until grad_tol or max_iter.
 
     Every recorded iterate is gamma-stabilizing. In backtracking mode the
-    cost is non-increasing across iterations. The gain-error column uses
+    cost is non-increasing across iterations; a Newton or Gauss-Newton
+    search starts at alpha, a first-order search after the first at
+    min(alpha, alpha_prev * slope_prev / slope), with slope = grad'd
+    (:func:`_initial_step`), and a record's backtracks counts the shrinks
+    from its search's first step to the step alpha_used it took. The gain-error column uses
     k_star (computed once via optimal_gain when not supplied). On a line
     search failure, or a fixed step that would leave the stabilizing set,
     the current iterate is kept and the run is flagged rather than raising
@@ -362,7 +341,7 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
         k_star, _ = optimal_gain(prob)
 
     rec = RunRecord(k_star=k_star)
-    backtracks = 0
+    decrease = None  # the previous search's alpha * slope
     for k in range(cfg.max_iter + 1):
         gain = ev.gain
         grad_norm = float(np.linalg.norm(ev.grad))
@@ -396,14 +375,18 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
                 break
             alpha_used, backtracks = cfg.alpha, 0
         else:
+            slope = float(ev.grad @ direction)
+            # Newton-type directions carry their own scale: the unit step
+            alpha0 = (_initial_step(cfg.alpha, decrease, slope)
+                      if cfg.method == "first_order" else cfg.alpha)
             try:
-                # the previous search's depth sizes this search's first block
                 alpha_used, trial, backtracks = _backtrack(
-                    prob, gain, direction, ev.J, ev.grad, cfg, backtracks)
+                    prob, gain, direction, ev.J, ev.grad, cfg, alpha0)
             except LineSearchFailure:
                 record(0.0, 0)
                 rec.flag = "line_search_failure"
                 break
+            decrease = alpha_used * slope
 
         record(alpha_used, backtracks)
         ev = trial

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lqrnewton import lqr, optimize
-from lqrnewton import (Evaluation, Gain, LqrProblem, action_value_at, closed_loop,
+from lqrnewton import lqr
+from lqrnewton import (Evaluation, Gain, LqrProblem, closed_loop,
                        initial_gain, is_gamma_stabilizing, make_pendulum, make_shear_building,
                        optimal_gain, pendulum_continuous,
-                       performance, policy_gradient, solve_sigma, solve_value,
-                       value_at)
+                       performance, policy_gradient, solve_sigma, solve_value)
 from lqrnewton.errors import NoConvergence, NotStabilizing
 from lqrnewton.oracles import scalar_reference
 
@@ -295,19 +294,6 @@ class TestSteinSolve:
         for k in range(M.shape[0]):
             np.testing.assert_array_equal(X[k], X[k].T)
             assert rel_err(X[k], lqr.SteinOperator(G, 0.9).solve(M[k])) <= 1e-13
-        # a distinct G per slice, at radii whose doubling needs different
-        # numbers of steps; the direct solve gives each slice its own LU
-        Gs = rng.standard_normal((4, n, n))
-        radii = np.array([0.2, 0.5, 0.9, 0.99])
-        Gs *= (radii / np.max(np.abs(np.linalg.eigvals(Gs)), axis=-1))[:, None, None]
-        X = lqr.SteinOperator(Gs, 0.9).solve(M)
-        assert X.shape == M.shape
-        for k in range(M.shape[0]):
-            want = lqr.SteinOperator(Gs[k], 0.9).solve(M[k])
-            if n <= lqr._DIRECT_SOLVE_MAX_DIM:
-                np.testing.assert_array_equal(X[k], want)
-            else:
-                assert rel_err(X[k], want) <= 1e-13
 
     @pytest.mark.parametrize("n", [3, 25])
     def test_transposed_solve_is_the_equation_in_the_transpose(self, n):
@@ -337,7 +323,7 @@ class TestSteinSolve:
         op = lqr.SteinOperator(G, 0.9)
 
         def held():
-            return [G, *(op._powers if op.depth is not None else (lu for lu, _, _ in op._lus))]
+            return [G, *(op._powers if op.depth is not None else (op._lu, op._piv))]
 
         before, M0 = [a.copy() for a in held()], M.copy()
         X = op.solve(M, transpose=transpose)
@@ -392,22 +378,6 @@ class TestSteinSolve:
         assert len(depths) == 1
         assert rel_err(Y, lqr.SteinOperator(G.T, 0.9).solve(np.eye(n))) <= 1e-13
 
-    # only line-search blocks slice, and they run on the Kronecker branch
-    @pytest.mark.parametrize("n", [4])
-    def test_a_slice_shares_the_stack_factors(self, n):
-        assert optimize._BLOCK_MAX_DIM <= lqr._DIRECT_SOLVE_MAX_DIM
-        rng = np.random.default_rng(6)
-        Gs = rng.standard_normal((3, n, n))
-        Gs *= (0.8 / np.max(np.abs(np.linalg.eigvals(Gs)), axis=-1))[:, None, None]
-        op = lqr.SteinOperator(Gs, 0.9)
-        for j in range(3):
-            part = op.slice(j)
-            assert part._lus[0] is op._lus[j] and part.depth is None
-            for transpose in (False, True):
-                got = part.solve(np.eye(n), transpose=transpose)
-                want = lqr.SteinOperator(Gs[j], 0.9).solve(np.eye(n), transpose=transpose)
-                assert got.tobytes() == want.tobytes()
-
     def test_direct_operator_equals_the_kronecker_form(self, monkeypatch):
         rng = np.random.default_rng(5)
         G = rng.standard_normal((4, 4))
@@ -419,7 +389,7 @@ class TestSteinSolve:
         lqr.SteinOperator(G, 0.9).solve(np.eye(4))
         np.testing.assert_array_equal(seen[0], np.eye(16) - 0.9 * np.kron(G, G))
 
-    @pytest.mark.parametrize("case", ["one slice", "shared G", "paired G", "corrected"])
+    @pytest.mark.parametrize("case", ["one slice", "shared G", "corrected"])
     def test_doubling_equals_the_allocating_loop(self, case, monkeypatch):
         n, gamma = 25, 0.9
         rng = np.random.default_rng(3)
@@ -429,10 +399,6 @@ class TestSteinSolve:
         M = M + M.transpose(0, 2, 1)
         if case == "one slice":
             M = M[0]
-        elif case == "paired G":
-            G = rng.standard_normal((4, n, n))
-            radii = np.array([0.2, 0.5, 0.9, 0.99])
-            G *= (radii / np.max(np.abs(np.linalg.eigvals(G)), axis=-1))[:, None, None]
         elif case == "corrected":
             # a closed loop this close to the boundary misses the bound once
             G, M = _near_boundary(n, 1e-3, gamma), np.stack([np.eye(n), np.ones((n, n))])
@@ -540,33 +506,35 @@ class TestPublicSolvesReadAnEvaluation:
 
 
 class TestValueFunctions:
+    """V(s) = s'Ps + q and the action-value, read from an Evaluation's P
+    and q."""
+
     def test_origin_gives_offset(self):
-        p = simple_problem()
-        sol = solve_value(p, Gain.zero(p))
-        assert value_at(sol, np.zeros(2)) == sol.q
+        # a start at the origin (Sigma_0 = 0) costs q alone
+        p = simple_problem(Sigma_0=np.zeros((2, 2)))
+        ev = Evaluation(p, Gain.zero(p))
+        assert ev.q > 0.0 and ev.J == ev.q
 
     def test_consistency_at_policy_action(self):
+        # Q(s, a) = s'(Q + g A'PA)s + 2 g s'A'PB a + a'(R + g B'PB)a + q
+        # equals V(s) at the policy action a = -K s
         rng = np.random.default_rng(7)
         p = simple_problem()
         gain = Gain(0.2 * rng.standard_normal((2, 2)))
-        sol = solve_value(p, gain)
+        ev = Evaluation(p, gain)
+        g, A, B, P = p.gamma, p.A, p.B, ev.P
         for _ in range(10):
             s = rng.standard_normal(2)
-            v = value_at(sol, s)
-            qv = action_value_at(p, sol, s, -gain.K @ s)
+            a = -gain.K @ s
+            v = s @ P @ s + ev.q
+            qv = (s @ (p.Q + g * A.T @ P @ A) @ s + 2.0 * g * s @ A.T @ P @ B @ a
+                  + a @ (p.R + g * B.T @ P @ B) @ a + ev.q)
             assert abs(qv - v) <= 1e-10 * max(1.0, abs(v))
 
     def test_scalar_substitution(self, scalar_prob, scalar_gain):
-        sol = solve_value(scalar_prob, scalar_gain)
-        assert value_at(sol, [1.0]) == pytest.approx(sol.P[0, 0] + sol.q, abs=1e-14)
-
-    def test_dimension_checks(self):
-        p = simple_problem()
-        sol = solve_value(p, Gain.zero(p))
-        with pytest.raises(ValueError):
-            value_at(sol, np.zeros(3))
-        with pytest.raises(ValueError):
-            action_value_at(p, sol, np.zeros(2), np.zeros(3))
+        # unit initial variance: J is V(1) = P + q
+        ev = Evaluation(scalar_prob, scalar_gain)
+        assert ev.J == pytest.approx(ev.P[0, 0] + ev.q, abs=1e-14)
 
 
 def _random_plant():

@@ -6,14 +6,14 @@ import scipy.linalg
 
 from lqrnewton import derivatives, lqr, optimize
 from lqrnewton import (Evaluation, Gain, LqrProblem, OptimizerConfig,
-                       backtracking_search, initial_gain, is_gamma_stabilizing,
+                       initial_gain, is_gamma_stabilizing,
                        make_pendulum, make_shear_building, optimal_gain,
                        performance, policy_gradient, run, search_direction,
                        solve_sigma, solve_value)
 from lqrnewton.errors import (DirectionError, LineSearchFailure, NoConvergence,
                               NotStabilizing, SeedNotStabilizing)
 from lqrnewton.linalg import vec
-from lqrnewton.optimize import _backtrack
+from lqrnewton.optimize import _backtrack, _initial_step, _trial
 
 from conftest import (GRAD_05, HEXACT_05, count_calls, make_instances,
                       multi_actuator_building, rel_err, stack_slices)
@@ -196,10 +196,9 @@ class TestBacktracking:
         ev = Evaluation(scalar_prob, scalar_gain)
         d = search_direction("newton", ev)
         J0 = performance(scalar_prob, scalar_gain)
-        alpha, new_gain = backtracking_search(scalar_prob, scalar_gain, d, J0,
-                                              ev.grad, cfg)
+        alpha, trial, _ = _backtrack(scalar_prob, scalar_gain, d, J0, ev.grad, cfg, cfg.alpha)
         assert alpha == 1.0
-        assert performance(scalar_prob, new_gain) < J0
+        assert performance(scalar_prob, trial.gain) < J0
 
     def test_shrinks_until_stabilizing(self, scalar_prob, scalar_gain):
         # descent direction scaled so the full step exits the stabilizing set
@@ -208,20 +207,19 @@ class TestBacktracking:
         assert float(d @ grad) < 0
         J0 = performance(scalar_prob, scalar_gain)
         cfg = OptimizerConfig(method="first_order", alpha=1.0)
-        alpha, new_gain = backtracking_search(scalar_prob, scalar_gain, d, J0,
-                                              grad, cfg)
+        alpha, trial, _ = _backtrack(scalar_prob, scalar_gain, d, J0, grad, cfg, cfg.alpha)
         assert alpha < 1.0
-        ok, _ = is_gamma_stabilizing(scalar_prob, new_gain)
+        ok, _ = is_gamma_stabilizing(scalar_prob, trial.gain)
         assert ok
-        assert performance(scalar_prob, new_gain) <= J0
+        assert performance(scalar_prob, trial.gain) <= J0
 
     def test_zero_direction_returns_input(self, scalar_prob, scalar_gain):
         cfg = OptimizerConfig()
         J0 = performance(scalar_prob, scalar_gain)
-        alpha, new_gain = backtracking_search(scalar_prob, scalar_gain,
-                                              np.zeros(1), J0, np.zeros(1), cfg)
-        assert alpha == cfg.alpha
-        assert new_gain is scalar_gain
+        alpha, trial, j = _backtrack(scalar_prob, scalar_gain, np.zeros(1), J0,
+                                     np.zeros(1), cfg, cfg.alpha)
+        assert alpha == cfg.alpha and j == 0
+        assert trial.gain is scalar_gain
 
     def test_failure_after_budget(self, scalar_prob, scalar_gain):
         grad = policy_gradient(scalar_prob, scalar_gain)
@@ -229,14 +227,14 @@ class TestBacktracking:
         J0 = performance(scalar_prob, scalar_gain)
         cfg = OptimizerConfig(max_backtracks=0)
         with pytest.raises(LineSearchFailure):
-            backtracking_search(scalar_prob, scalar_gain, d, J0, grad, cfg)
+            _backtrack(scalar_prob, scalar_gain, d, J0, grad, cfg, cfg.alpha)
 
     def test_ascent_direction_rejected(self, scalar_prob, scalar_gain):
         grad = policy_gradient(scalar_prob, scalar_gain)
         J0 = performance(scalar_prob, scalar_gain)
         cfg = OptimizerConfig()
         with pytest.raises(DirectionError):
-            backtracking_search(scalar_prob, scalar_gain, grad.copy(), J0, grad, cfg)
+            _backtrack(scalar_prob, scalar_gain, grad.copy(), J0, grad, cfg, cfg.alpha)
 
 
 class TestConfigValidation:
@@ -403,24 +401,19 @@ class TestComputeOnce:
                               seed_gain=seed, grad_tol=1e-8, max_iter=30)
         rec = run(prob, cfg, k_star=k_star)
         assert rec.iterations == 30 and rec.column("backtracks").sum() > 0
-        keys = [(g.tobytes(), m.tobytes())
-                for op, M, *_ in stein for g, m in stack_slices(op.G, M)]
+        keys = [(op.G.tobytes(), m.tobytes()) for op, M, *_ in stein for m, in stack_slices(M)]
         assert len(keys) == len(set(keys))
-        # the seed and every line-search trial, each checked once, plus the
-        # trials a search computes past its accepted one: its first block
-        # reaches the trial the previous search accepted
-        depths = [s.backtracks for s in rec.steps if s.alpha_used > 0.0]
-        trials = sum(b + 1 for b in depths)
-        speculative = sum(max(0, prev - b) for prev, b in zip([0] + depths, depths))
-        assert sum(len(stack_slices(a)) for a, in eig) == 1 + trials + speculative
-        # a trial-by-trial search makes one eigenvalue call per trial
-        assert len(eig) < 1 + trials
+        # one eigenvalue call for the seed and one for each line-search trial
+        trials = sum(s.backtracks + 1 for s in rec.steps if s.alpha_used > 0.0)
+        assert len(eig) == 1 + trials
+        assert all(a.shape == (2, 2) for a, in eig)
 
 
-def _sequential_backtrack(prob, gain, direction, J0, grad, cfg):
-    """Reference line search: one Evaluation per trial, in order."""
+def _sequential_backtrack(prob, gain, direction, J0, grad, cfg, alpha0):
+    """Reference line search: one Evaluation per trial, in order, from the
+    step alpha0."""
     slope = float(grad @ direction)
-    alpha = cfg.alpha
+    alpha = alpha0
     for j in range(cfg.max_backtracks + 1):
         trial = Evaluation(prob, Gain.from_theta(gain.theta + alpha * direction,
                                                  prob.m, prob.n))
@@ -436,8 +429,11 @@ def _search_start(prob, method):
 
 
 class TestLadder:
-    """The stacked line search accepts the trial a trial-by-trial search
-    accepts, with the same bits, whatever the depth hint."""
+    """The line search accepts the trial a search of plain Evaluations
+    accepts, with the same bits, from whichever step it starts:
+    alpha * shrink^start for a start of 0 (the full step), 1 and 3 (steps
+    the pendulum's first-order search rejects) and 60 (far below the
+    accepted step, so its first trial is accepted)."""
 
     CASES = [("pendulum", "first_order"), ("building", "first_order"),
              ("building", "newton")]
@@ -460,48 +456,38 @@ class TestLadder:
         assert ev.grad.tobytes() == ev_ref.grad.tobytes()
 
     @pytest.mark.parametrize("plant, method", CASES)
-    @pytest.mark.parametrize("hint", [0, 1, 3, 60])
-    def test_matches_trial_by_trial_search(self, plants, plant, method, hint):
+    @pytest.mark.parametrize("start", [0, 1, 3, 60])
+    def test_matches_trial_by_trial_search(self, plants, plant, method, start):
         prob = plants[plant]
         ev, d = _search_start(prob, method)
         cfg = OptimizerConfig(method=method, alpha=1.0)
-        want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg)
-        if plant == "pendulum":
+        alpha0 = cfg.shrink ** start
+        want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, alpha0)
+        if plant == "pendulum" and start == 0:
             # the full first-order step leaves the stabilizing set
             assert want[2] >= 3
             assert not Evaluation(prob, Gain.from_theta(ev.gain.theta + d, 1, 2)).stabilizing
-        got = _backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=hint)
+        if start == 60:
+            assert want[2] == 0
+        got = _backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, alpha0)
         self.assert_same(got, want)
 
-    @pytest.mark.parametrize("hint", [0, 1, 3, 60])
-    def test_budget_and_failure(self, plants, hint):
+    @pytest.mark.parametrize("start", [0, 1, 3, 60])
+    def test_budget_and_failure(self, plants, start):
         prob = plants["pendulum"]
         ev, d = _search_start(prob, "first_order")
         args = (prob, ev.gain, d, ev.J, ev.grad)
-        alpha, _, depth = _sequential_backtrack(*args, OptimizerConfig(alpha=1.0))
-        for cfg in (OptimizerConfig(alpha=1.0, max_backtracks=depth),
-                    OptimizerConfig(alpha=alpha, max_backtracks=0)):
-            self.assert_same(_backtrack(*args, cfg, depth_hint=hint),
-                             _sequential_backtrack(*args, cfg))
-        for max_backtracks in (0, depth - 1):
-            cfg = OptimizerConfig(alpha=1.0, max_backtracks=max_backtracks)
+        alpha0 = 0.5 ** start
+        alpha, _, depth = _sequential_backtrack(*args, OptimizerConfig(), alpha0)
+        # the budget counts shrinks from the first step the search is given
+        for cfg, first in ((OptimizerConfig(max_backtracks=depth), alpha0),
+                           (OptimizerConfig(max_backtracks=0), alpha)):
+            self.assert_same(_backtrack(*args, cfg, first),
+                             _sequential_backtrack(*args, cfg, first))
+        for max_backtracks in (0, depth - 1) if depth else ():
+            cfg = OptimizerConfig(max_backtracks=max_backtracks)
             with pytest.raises(LineSearchFailure):
-                _backtrack(*args, cfg, depth_hint=hint)
-
-    @pytest.mark.parametrize("floors, stacked", [(4, True), (5, False)])
-    def test_first_block_is_one_trial_above_the_block_dimension(self, monkeypatch,
-                                                                floors, stacked):
-        # n = 8 stacks the hinted trials; n = 10 evaluates the trials it needs
-        prob = make_shear_building(floors=floors, seed=7)
-        ev, d = _search_start(prob, "newton")
-        cfg = OptimizerConfig(alpha=1.0)
-        want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg)
-        hint = want[2] + 3
-        eig = count_calls(monkeypatch, np.linalg, "eigvals")
-        got = _backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, depth_hint=hint)
-        self.assert_same(got, want)
-        slices = sum(len(stack_slices(a)) for a, in eig)
-        assert slices == (hint + 1 if stacked else want[2] + 1)
+                _backtrack(*args, cfg, alpha0)
 
     def test_non_finite_trial_gain_is_refused(self, plants):
         prob = plants["pendulum"]
@@ -514,24 +500,21 @@ class TestLadder:
             while not np.isfinite(ev.gain.theta + alpha * d).all():
                 j0, alpha = j0 + 1, alpha * cfg.shrink
         assert j0 >= 1
-        # both schedules refuse the overflowing trials, with no warning, and
-        # then accept what a trial-by-trial search from trial j0 accepts
-        a, trial, j = _sequential_backtrack(*args, replace(cfg, alpha=alpha))
-        for hint in (0, 3):
-            self.assert_same(_backtrack(*args, cfg, depth_hint=hint), (a, trial, j0 + j))
-            with pytest.raises(LineSearchFailure):
-                _backtrack(*args, replace(cfg, max_backtracks=j0 - 1), depth_hint=hint)
+        # the search refuses the overflowing trials, with no warning, and
+        # then accepts what a search from trial j0 accepts
+        a, trial, j = _sequential_backtrack(*args, cfg, alpha)
+        self.assert_same(_backtrack(*args, cfg, cfg.alpha), (a, trial, j0 + j))
+        with pytest.raises(LineSearchFailure):
+            _backtrack(*args, replace(cfg, max_backtracks=j0 - 1), cfg.alpha)
 
     def test_trials_refuse_a_non_finite_trial_without_raising(self, plants):
         prob = plants["pendulum"]
         ev, d = _search_start(prob, "first_order")
         # the first trial gain overflows, the second's closed loop is huge
-        alphas = np.array([1e308, 1e300, 1e-9])
-        trials = derivatives.Trials(prob, ev.gain.theta, d, alphas)
-        np.testing.assert_array_equal(trials.stabilizing, [False, False, True])
-        assert np.isnan(trials.J[:2]).all() and trials.margin[0] == -np.inf
-        assert trials.J[2] == Evaluation(prob, Gain.from_theta(ev.gain.theta + 1e-9 * d,
-                                                               1, 2)).J
+        assert _trial(prob, ev.gain.theta, 1e308, d) is None
+        assert _trial(prob, ev.gain.theta, 1e300, d) is None
+        trial = _trial(prob, ev.gain.theta, 1e-9, d)
+        assert trial.J == Evaluation(prob, Gain.from_theta(ev.gain.theta + 1e-9 * d, 1, 2)).J
 
     @pytest.mark.parametrize("mode, flag", [("fixed", "left_stabilizing_set"),
                                             ("backtracking", "line_search_failure")])
@@ -545,6 +528,58 @@ class TestLadder:
                               max_backtracks=3, max_iter=3, seed_gain=seed)
         rec = run(prob, cfg)
         assert rec.flag == flag and rec.iterations == 0
+
+
+class TestInitialStep:
+    """A first-order search after the first starts at the previous step
+    times the ratio of the previous slope to this one, capped at alpha;
+    Newton-type searches start at alpha."""
+
+    def test_pendulum_first_order_searches_start_near_their_step(self, pendulum):
+        prob, k_star, seed = pendulum
+        cfg = OptimizerConfig(method="first_order", step_mode="backtracking",
+                              seed_gain=seed, grad_tol=1e-8, max_iter=40)
+        rec = run(prob, cfg, k_star=k_star)
+        steps = rec.steps[:-1]
+        assert rec.iterations == 40 and rec.flag is None
+        # a search restarted at alpha makes about 11 trials a step here
+        assert sum(s.backtracks + 1 for s in steps) / len(steps) <= 2.5
+        assert all(0.0 < s.alpha_used <= cfg.alpha for s in steps)
+        assert np.all(np.diff(rec.column("J")) <= 0.0)
+        # the first search starts at alpha; for -grad the slope is -||grad||^2
+        assert steps[0].alpha_used == cfg.alpha * cfg.shrink ** steps[0].backtracks
+        for prev, s in zip(steps, steps[1:]):
+            alpha0 = min(cfg.alpha, prev.alpha_used * (prev.grad_norm / s.grad_norm) ** 2)
+            assert s.alpha_used == pytest.approx(alpha0 * cfg.shrink ** s.backtracks,
+                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["newton", "gauss_newton"])
+    def test_newton_type_searches_start_at_alpha(self, method):
+        prob = make_shear_building(floors=24, seed=0)
+        cfg = OptimizerConfig(method=method, step_mode="backtracking",
+                              seed_gain=initial_gain(prob, r_inflation=100.0))
+        rec = run(prob, cfg)
+        assert rec.converged
+        assert all(s.alpha_used == cfg.alpha * cfg.shrink ** s.backtracks
+                   for s in rec.steps[:-1])
+        if method == "newton":
+            assert rec.iterations == 9 and rec.column("backtracks").sum() == 4
+
+    @pytest.mark.parametrize("decrease, slope", [
+        (None, -1.0),            # no previous search
+        (-1.0, 0.0),             # no descent
+        (-np.inf, -np.inf),      # a ratio that is NaN
+        (-1e300, -1e-300),       # a ratio that overflows
+        (-0.0, -1.0),            # a previous step that underflowed
+        (1.0, -1.0),             # a negative ratio
+    ])
+    def test_a_step_that_is_not_finite_and_positive_falls_back_to_alpha(self, decrease,
+                                                                         slope):
+        assert _initial_step(2.0, decrease, slope) == 2.0
+
+    def test_the_step_is_the_slope_ratio_capped_at_alpha(self):
+        assert _initial_step(2.0, -1.0, -4.0) == 0.25
+        assert _initial_step(2.0, -3.0, -1.0) == 2.0
 
 
 def _non_normal_loop(n, margin, seed, scale, gamma=0.9):
@@ -665,9 +700,10 @@ class TestCertifiedStability:
                         start = Evaluation(prob, Gain(1.1 * k_star.K))
                         d = -start.gain.theta
                         assert float(start.grad @ d) < 0.0
-                        alpha, gain = backtracking_search(prob, start.gain, d, start.J,
-                                                          start.grad, OptimizerConfig())
-                        assert 0.0 < alpha < 1.0 and Evaluation(prob, gain).stabilizing
+                        alpha, trial, _ = _backtrack(prob, start.gain, d, start.J,
+                                                     start.grad, OptimizerConfig(), 1.0)
+                        assert 0.0 < alpha < 1.0
+                        assert Evaluation(prob, trial.gain).stabilizing
                         rec = run(prob, OptimizerConfig(step_mode="fixed",
                                                         seed_gain=start.gain), k_star=k_star)
                         assert rec.flag == "left_stabilizing_set" and rec.iterations == 0
