@@ -57,7 +57,8 @@ import numpy as np
 from .errors import SingularT
 from .linalg import kron, vec
 from .lqr import (Gain, LqrProblem, SteinOperator, ValueSolution, _certified_operator,
-                  _eigvals, _not_stabilizing, closed_loop, solve_sigma, solve_value)
+                  _eigvals, _not_stabilizing, _solve, closed_loop, solve_sigma,
+                  solve_value)
 
 _COND_LIMIT = 1e14
 
@@ -128,7 +129,7 @@ class Evaluation:
     def margin(self) -> float:
         """1 - rho(sqrt(gamma) * Acl); positive for every stabilizing gain,
         -inf for a closed loop that is not finite."""
-        return 1.0 - float(np.max(np.abs(self.eigvals)))
+        return 1.0 - float(np.abs(self.eigvals).max())
 
     @cached
     def stabilizing(self) -> bool:
@@ -166,7 +167,7 @@ class Evaluation:
     @cached
     def J(self) -> float:
         """Performance tr(P Sigma_0) + q."""
-        return float(np.trace(self.P @ self.prob.Sigma_0) + self.q)
+        return float((self.P @ self.prob.Sigma_0).trace() + self.q)
 
     @cached
     def S(self) -> np.ndarray:
@@ -194,7 +195,7 @@ class Evaluation:
         -vec(E^-1 S) = -H_gn^-1 grad wherever Sigma is invertible; unlike
         H_gn it needs only P, not Sigma.
         """
-        return np.linalg.solve(self.E, self.S)
+        return _solve(self.E, self.S)
 
     @cached
     def _conditioned_stein(self) -> SteinOperator:

@@ -32,7 +32,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
+# LAPACK's routines are called directly: at n = 2 numpy.linalg's wrappers
+# cost several times the routine they call (see README, Numerical notes)
+from scipy.linalg.lapack import (dgeev as _geev, dgesv as _gesv, dgetrf as _getrf,
+                                 dgetrs as _getrs)
 
 from .errors import NoConvergence, NotStabilizing
 from .linalg import unvec, vec
@@ -59,7 +62,7 @@ def _as_matrix(x, name: str) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
 
 
@@ -285,10 +288,10 @@ class SteinOperator:
 
     def _lu_solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
         n = len(self.G)
-        # the column-major vec of each slice is one column of the solve
-        cols = rhs.swapaxes(-1, -2).reshape(-1, n * n).T
-        X = _getrs(self._lu, self._piv, cols, trans=int(transpose))[0]
-        return X.T.reshape(rhs.shape).swapaxes(-1, -2)
+        # rhs.T[j, i, s] = rhs[s, i, j], so each column of its (n*n, k)
+        # reshape is the column-major vec of one slice
+        X = _getrs(self._lu, self._piv, rhs.T.reshape(n * n, -1), trans=int(transpose))[0]
+        return X.reshape(rhs.T.shape).T
 
     def _doubling(self, X: np.ndarray, transpose: bool) -> np.ndarray:
         """Sum X + F X F' + F^2 X F^2' + ... over the operator's powers
@@ -304,15 +307,16 @@ def _doubling_powers(F: np.ndarray) -> list[np.ndarray]:
     """F, F^2, ..., F^(2^(L-1)) for the first L with ||F^(2^L)||_F^2 <= 2^-52.
     The first 2^L terms of sum_k F^k M F^k' then leave a tail
     F^(2^L) X F^(2^L)' of norm at most 2^-52 ||X||_F, whatever the scale of
-    M. NoConvergence on a non-finite power or when 100 levels do not reach
-    the test."""
+    M. NoConvergence on a power whose squared norm is not finite (which a
+    power that is not finite has) or when 100 levels do not reach the test."""
     powers = []
     # a power that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
-            if not np.isfinite(F).all():
+            sq = _sq_norm(F)
+            if not np.isfinite(sq):
                 break
-            if _sq_norm(F) <= 2.0 ** -52:
+            if sq <= 2.0 ** -52:
                 return powers
             powers.append(F)
             F = F @ F
@@ -354,16 +358,31 @@ def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
 
 
 def _eigvals(prob: LqrProblem, Acl: np.ndarray) -> np.ndarray:
-    """Eigenvalues of sqrt(gamma) * Acl. Every eigenvalue of a loop that is
-    not finite is inf, so its margin is -inf and the stability rule
-    refuses it. A finite loop costs one eigenvalue call and nothing more."""
+    """Eigenvalues of sqrt(gamma) * Acl, as np.linalg.eigvals gives them
+    (the same geev call, and real when all are): every eigenvalue of a loop
+    that is not finite is inf, so its margin is -inf and the stability rule
+    refuses it. LinAlgError when geev does not converge."""
     F = np.sqrt(prob.gamma) * Acl
-    try:
-        return np.linalg.eigvals(F)
-    except np.linalg.LinAlgError:  # raised for a non-finite entry
-        if np.isfinite(F).all():
-            raise
+    if not np.isfinite(F).all():
         return np.full(len(F), np.inf, dtype=complex)
+    wr, wi, _, _, info = _geev(F, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if not wi.any():
+        return wr
+    w = np.empty(len(wr), dtype=complex)
+    w.real, w.imag = wr, wi
+    return w
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for a small square a by gesv, the routine np.linalg.solve
+    calls (numpy links another OpenBLAS build, whose bits can differ from
+    6 unknowns up); LinAlgError for a singular a."""
+    x, info = _gesv(a, b)[2:]
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
 
 
 def _sq_norm(X: np.ndarray) -> np.ndarray:
@@ -404,7 +423,7 @@ def solve_value(prob: LqrProblem, gain: Gain, *,
     K = gain.K
     M = prob.Q + K.T @ prob.R @ K
     P = stein.solve((M + M.T) / 2.0)
-    q = prob.gamma / (1.0 - prob.gamma) * np.trace(P @ prob.Sigma_w)
+    q = prob.gamma / (1.0 - prob.gamma) * (P @ prob.Sigma_w).trace()
     return ValueSolution(P, float(q))
 
 
@@ -462,11 +481,13 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     """
     g, n = prob.gamma, prob.n
     A = np.sqrt(g) * prob.A
-    G = g * prob.B @ np.linalg.solve(prob.R, prob.B.T)
+    G = g * prob.B @ _solve(prob.R, prob.B.T)
     H = prob.Q
     # an unstabilizable plant overflows; that is caught below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
+            # numpy's solve, not _solve: scipy's gesv rounds differently
+            # from 6 unknowns up and would move the last bits of K*
             V = np.linalg.solve(np.eye(n) + G @ H, np.hstack((A, G)))
             G = G + A @ V[:, n:] @ A.T
             H_next = H + A.T @ H @ V[:, :n]
@@ -488,7 +509,7 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     P = H
     for _ in range(2):
         E = prob.R + g * prob.B.T @ P @ prob.B
-        ev = _evaluation(prob, Gain(np.linalg.solve(E, g * prob.B.T @ P @ prob.A)))
+        ev = _evaluation(prob, Gain(_solve(E, g * prob.B.T @ P @ prob.A)))
         if not ev.stabilizing:
             raise NoConvergence(
                 f"the Riccati gain is not gamma-stabilizing (margin {ev.margin:.3g}); (A, B) "

@@ -202,7 +202,7 @@ def _newton_cg(ev: Evaluation) -> np.ndarray:
     z = precondition(r)
     p, rz = z, float(r @ z)
     eta = max(min(0.1, math.sqrt(rz / ev.J)), _CG_RTOL)
-    stop = (eta * np.linalg.norm(g)) ** 2
+    stop = (eta * math.sqrt(g @ g)) ** 2
     for i in range(m * n):
         Hp = ev.hvp(p)
         curvature = float(p @ Hp)
@@ -235,7 +235,7 @@ def search_direction(method: str, ev: Evaluation) -> np.ndarray:
     descent direction.
     """
     g = ev.grad
-    if not np.any(g):
+    if not g.any():
         return np.zeros_like(g)
     if method == "first_order":
         return -g
@@ -282,7 +282,7 @@ def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
     :func:`_trial`. Raises LineSearchFailure when max_backtracks shrinks
     are exhausted.
     """
-    if not np.any(direction):
+    if not direction.any():
         return alpha0, Evaluation(prob, gain), 0
     slope = float(grad @ direction)
     if slope >= 0.0:
@@ -344,8 +344,11 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     decrease = None  # the previous search's alpha * slope
     for k in range(cfg.max_iter + 1):
         gain = ev.gain
-        grad_norm = float(np.linalg.norm(ev.grad))
-        gain_error = float(np.linalg.norm(gain.K - k_star.K, "fro"))
+        # numpy's 2-norm and Frobenius norm, sqrt(x @ x) over the ravel,
+        # without its wrapper
+        grad_norm = math.sqrt(ev.grad @ ev.grad)
+        error = (gain.K - k_star.K).ravel()
+        gain_error = math.sqrt(error @ error)
 
         def record(alpha_used: float, backtracks: int) -> None:
             margin = ev.__dict__.get("margin", (prob, gain))

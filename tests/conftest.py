@@ -19,6 +19,23 @@ LAM_05 = 22400.0 / 29791.0
 HEXACT_05 = 114400.0 / 29791.0
 
 
+# the experiment of acceptance criterion 10: three methods on the pendulum,
+# four output files
+CRITERION_10_DOC = {
+    "problem": {"generator": "pendulum"},
+    "methods": [
+        {"method": "newton", "step_mode": "fixed", "alpha": 1.0,
+         "grad_tol": 1e-8, "max_iter": 40},
+        {"method": "gauss_newton", "step_mode": "fixed", "alpha": 0.5,
+         "grad_tol": 1e-8, "max_iter": 150},
+        {"method": "first_order", "step_mode": "backtracking", "alpha": 1.0,
+         "grad_tol": 1e-8, "max_iter": 40},
+    ],
+    "seed": 0,
+    "emit": {"trace_csv": True, "summary": True},
+}
+
+
 def scalar_problem(sigma_sq: float = 0.0, sigma0_sq: float = 1.0) -> LqrProblem:
     return LqrProblem(A=[[SCALAR["a"]]], B=[[SCALAR["b"]]], Q=[[SCALAR["Q"]]],
                       R=[[SCALAR["R"]]], gamma=SCALAR["gamma"],

@@ -18,7 +18,7 @@ from lqrnewton.oracles import (discounted_moment_series, fd_gradient,
                                fd_hessian, lambda_via_Mi, monte_carlo_J,
                                scalar_reference)
 
-from conftest import SCALAR, rel_err, scalar_problem
+from conftest import CRITERION_10_DOC, SCALAR, rel_err, scalar_problem
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -243,22 +243,9 @@ def test_criterion_09_monte_carlo_consistency(pendulum_bundle):
 
 
 def test_criterion_10_experiment_determinism(tmp_path):
-    doc = {
-        "problem": {"generator": "pendulum"},
-        "methods": [
-            {"method": "newton", "step_mode": "fixed", "alpha": 1.0,
-             "grad_tol": 1e-8, "max_iter": 40},
-            {"method": "gauss_newton", "step_mode": "fixed", "alpha": 0.5,
-             "grad_tol": 1e-8, "max_iter": 150},
-            {"method": "first_order", "step_mode": "backtracking", "alpha": 1.0,
-             "grad_tol": 1e-8, "max_iter": 40},
-        ],
-        "seed": 0,
-        "emit": {"trace_csv": True, "summary": True},
-    }
     outs = []
     for sub in ("a", "b"):
-        cfg = config_from_dict(doc, output_dir=tmp_path / sub)
+        cfg = config_from_dict(CRITERION_10_DOC, output_dir=tmp_path / sub)
         assert run_experiment(cfg) == 0
         outs.append({p.name: p.read_bytes()
                      for p in sorted((tmp_path / sub).iterdir())})

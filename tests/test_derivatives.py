@@ -189,7 +189,7 @@ class TestConditioningBound:
         assert ev.stein.depth < 51
         if depth is not None:
             ev.stein.depth = depth  # read only by the bound; the solves use the powers
-        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        eig = count_calls(monkeypatch, lqr, "_geev")
         got = ev.hvp(v)
         assert len(eig) == eig_calls
         assert got.tobytes() == want.tobytes()

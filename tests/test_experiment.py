@@ -8,8 +8,10 @@ from lqrnewton import config_from_dict, load_config, run_experiment
 from lqrnewton.errors import ConfigError
 from lqrnewton.experiment import TRACE_HEADER, trace_csv_text
 from lqrnewton.optimize import OptimizerConfig, run
-from lqrnewton import (Gain, cli, make_pendulum, make_shear_building, initial_gain,
+from lqrnewton import (Gain, cli, lqr, make_pendulum, make_shear_building, initial_gain,
                        performance, policy_gradient)
+
+from conftest import CRITERION_10_DOC
 
 
 PENDULUM_DOC = {
@@ -206,6 +208,26 @@ class TestRunExperiment:
                      "trace_first_order.csv", "summary.json"]:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+    def test_bytes_do_not_depend_on_the_lapack_wrapper(self, tmp_path, monkeypatch):
+        # lqr calls geev and gesv directly; the experiment writes the same
+        # bytes with numpy.linalg, which runs the same routines, in their place
+        def geev(a, compute_vl, compute_vr):
+            w = np.linalg.eigvals(a).astype(complex)
+            return w.real.copy(), w.imag.copy(), None, None, 0
+
+        def gesv(a, b):
+            return None, None, np.linalg.solve(a, b), 0
+
+        outs = []
+        for sub in ("direct", "numpy"):
+            if sub == "numpy":
+                monkeypatch.setattr(lqr, "_geev", geev)
+                monkeypatch.setattr(lqr, "_gesv", gesv)
+            cfg = config_from_dict(CRITERION_10_DOC, output_dir=tmp_path / sub)
+            assert run_experiment(cfg) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted((tmp_path / sub).iterdir())})
+        assert len(outs[0]) == 4 and outs[0] == outs[1]
 
     def test_method_failure_recorded_not_fatal(self, tmp_path):
         doc = dict(PENDULUM_DOC)

@@ -146,6 +146,55 @@ class TestStabilizing:
                 solve_value(p, gain)
 
 
+class TestDirectLapack:
+    """The stability check and the small solves call LAPACK's geev and gesv
+    directly; numpy.linalg, which runs the same routines, is their oracle,
+    bit for bit."""
+
+    @staticmethod
+    def _open_loop(G):
+        n = len(G)
+        return LqrProblem(A=G, B=np.zeros((n, 1)), Q=np.eye(n), R=[[1.0]], gamma=0.9,
+                          Sigma_w=np.eye(n), Sigma_0=np.eye(n))
+
+    def test_eigvals_are_numpys(self):
+        rng = np.random.default_rng(19)
+        loops = [rng.standard_normal((n, n)) for n in range(1, 11) for _ in range(20)]
+        loops.append(np.array([[0.5, -0.4], [0.4, 0.5]]))  # one complex pair
+        loops.append(0.7 * np.eye(4) + np.eye(4, k=1))  # a Jordan block
+        dtypes = set()
+        for G in loops:
+            got = lqr._eigvals(self._open_loop(G), G)
+            want = np.linalg.eigvals(np.sqrt(0.9) * G)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            dtypes.add(got.dtype)
+        assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_loop_that_is_not_finite_has_inf_eigvals(self, bad, monkeypatch):
+        Acl = 0.5 * np.eye(3)
+        Acl[1, 2] = bad
+        geev = count_calls(monkeypatch, lqr, "_geev")
+        w = lqr._eigvals(self._open_loop(0.5 * np.eye(3)), Acl)
+        assert w.shape == (3,) and np.all(w == np.inf) and geev == []
+
+    @pytest.mark.parametrize("case", ["pendulum", "scalar"])
+    def test_hewer_step_is_numpys_solve(self, case, scalar_prob, scalar_gain):
+        if case == "pendulum":
+            prob = make_pendulum()
+            gain = initial_gain(prob)
+        else:
+            prob, gain = scalar_prob, scalar_gain
+        ev = Evaluation(prob, gain)
+        want = np.linalg.solve(ev.E, ev.S)
+        assert ev.hewer_step.shape == want.shape
+        assert ev.hewer_step.tobytes() == want.tobytes()
+
+    def test_a_singular_solve_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            lqr._solve(np.zeros((2, 2)), np.ones((2, 1)))
+
+
 class TestSolveValue:
     def test_scalar_closed_form(self, scalar_prob, scalar_gain):
         P, q = solve_value(scalar_prob, scalar_gain)
@@ -176,7 +225,7 @@ class TestSolveValue:
         p = simple_problem()
         g = Gain([[0.1, 0.2], [0.0, 0.3]])
         want = solve_value(p, g)
-        calls = count_calls(monkeypatch, np.linalg, "eigvals")
+        calls = count_calls(monkeypatch, lqr, "_geev")
         got = solve_value(p, g, stein=lqr.closed_loop_operator(p, closed_loop(p, g)))
         assert calls == []
         np.testing.assert_array_equal(got.P, want.P)
@@ -419,12 +468,18 @@ class TestSteinSolve:
         resid = np.linalg.norm(M + 0.9 * G @ X @ G.T - X, "fro")
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(X, "fro"))
 
-    @pytest.mark.parametrize("case", ["overflowing power", "unit radius"])
+    @pytest.mark.parametrize("case", ["overflowing power", "overflowing norm",
+                                      "unit radius"])
     def test_doubling_depth_refuses_powers_that_do_not_decay(self, case):
         n = 12
         if case == "overflowing power":
             # stable, but F^2 already has entries of 1e400
             G = 0.5 * np.eye(n) + 1e200 * np.eye(n, k=1)
+        elif case == "overflowing norm":
+            # F's entries are finite, but ||F||_F^2 = 1.2e311 is not
+            G = 1e155 / np.sqrt(0.9) * np.eye(n)
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(lqr._sq_norm(np.sqrt(0.9) * G))
         else:
             # F = I: no power ever meets the depth test
             G = np.eye(n) / np.sqrt(0.9)
@@ -492,7 +547,7 @@ class TestPublicSolvesReadAnEvaluation:
     def test_no_eigenvalue_solve_on_the_doubling_branch(self, monkeypatch, floors):
         prob = make_shear_building(floors=floors, seed=7)
         gain = initial_gain(prob)
-        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        eig = count_calls(monkeypatch, lqr, "_geev")
         solve_value(prob, gain)
         solve_sigma(prob, gain)
         performance(prob, gain)
@@ -500,7 +555,7 @@ class TestPublicSolvesReadAnEvaluation:
 
     def test_optimal_gain_checks_its_two_gains_by_eigenvalues(self, monkeypatch):
         prob = make_pendulum()
-        eig = count_calls(monkeypatch, np.linalg, "eigvals")
+        eig = count_calls(monkeypatch, lqr, "_geev")
         optimal_gain(prob)
         assert len(eig) == 2
 
