@@ -14,9 +14,8 @@ from .linalg import expm, kron, psd_sqrt, spectral_radius, unvec, vec
 from .lqr import (Gain, LqrProblem, ValueSolution, closed_loop,
                   is_gamma_stabilizing, optimal_gain, performance,
                   solve_sigma, solve_value)
-from .derivatives import (Evaluation, exact_hessian, gn_hessian,
-                          hessian_vector_product, jacobian_vecP, lambda_term,
-                          policy_gradient)
+from .derivatives import (Evaluation, exact_hessian, gn_hessian, jacobian_vecP,
+                          lambda_term, policy_gradient)
 from .optimize import (IterateRecord, OptimizerConfig, RunRecord, run,
                        search_direction)
 from .oracles import (McEstimate, ScalarReport, discounted_moment_series,
@@ -39,8 +38,7 @@ __all__ = [
     "Gain", "LqrProblem", "ValueSolution", "closed_loop",
     "is_gamma_stabilizing", "optimal_gain", "performance", "solve_sigma",
     "solve_value",
-    "Evaluation", "exact_hessian", "gn_hessian", "hessian_vector_product",
-    "jacobian_vecP",
+    "Evaluation", "exact_hessian", "gn_hessian", "jacobian_vecP",
     "lambda_term", "policy_gradient",
     "IterateRecord", "OptimizerConfig", "RunRecord", "run",
     "search_direction",

@@ -54,9 +54,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularT
+from .errors import NoConvergence, SingularT
 from .linalg import kron, vec
-from .lqr import (Gain, LqrProblem, SteinOperator, ValueSolution, _certified_operator,
+from .lqr import (_DIRECT_SOLVE_MAX_DIM, Gain, LqrProblem, SteinOperator, ValueSolution,
                   _eigvals, _not_stabilizing, _solve, closed_loop, solve_sigma,
                   solve_value)
 
@@ -95,7 +95,7 @@ class Evaluation:
     first read and kept.
     The stability check builds the gain's Stein operator, factored once,
     on which P, Sigma and every later solve run without another check. It
-    is the library's one stability rule (lqr._certified_operator): the
+    is the library's one stability rule (``_operator``): the
     public solve_value, solve_sigma, performance and optimal_gain read an
     Evaluation, so every entry point accepts and refuses the same gains. For
     n <= 10 it is one eigenvalue solve (margin > 0). Above, it makes none:
@@ -106,8 +106,8 @@ class Evaluation:
     margin are computed only when read, and the SingularT test of dP and
     hvp bounds the operator's conditioning from the doubling depth. On
     both branches a closed loop that is not finite is not stabilizing, with
-    margin -inf; Acl is formed with no errstate, so numpy may warn about
-    its overflow first.
+    margin -inf, and so is one whose operator cannot be formed; Acl is
+    formed with no errstate, so numpy may warn about its overflow first.
     :meth:`hvp` multiplies by H_exact without forming it. Reading the
     operator, P or Sigma at a non-stabilizing gain raises NotStabilizing,
     and reading dP or calling hvp at a gain numerically on the stabilizing
@@ -132,22 +132,42 @@ class Evaluation:
         return 1.0 - float(np.abs(self.eigvals).max())
 
     @cached
-    def stabilizing(self) -> bool:
-        """Whether the gain is gamma-stabilizing, by the rule of
-        lqr._certified_operator; the operator it builds is kept as stein."""
-        stein = _certified_operator(self.prob, self.Acl, lambda: self.margin)
-        if stein is not None:
-            self.stein = stein
-        return stein is not None
+    def _operator(self) -> SteinOperator | None:
+        """The Stein operator of Acl, or None for a gain that is not
+        gamma-stabilizing: the library's one stability rule.
+
+        For n <= _DIRECT_SOLVE_MAX_DIM the gain must have margin > 0, and
+        the eigenvalue solve comes before the factorization. Above, no
+        eigenvalue is computed: reaching the doubling depth test certifies
+        rho(sqrt(gamma) * Acl) < 1 (see :class:`SteinOperator`). On both
+        branches an operator that cannot be formed (NoConvergence: a
+        singular Kronecker system, or doubling powers that overflow or do
+        not decay) refuses the gain. Such a refusal can come from a closed
+        loop that an eigenvalue solve calls stable: one so non-normal that
+        its powers overflow before they decay. Conversely, the rounded
+        powers of such a loop can decay although it is unstable by 1e-9 to
+        1e-6; its solves then miss their residual bound and raise
+        NoConvergence.
+        """
+        if self.prob.n <= _DIRECT_SOLVE_MAX_DIM and not self.margin > 0.0:
+            return None
+        try:
+            return SteinOperator(self.Acl.T, self.prob.gamma)
+        except NoConvergence:
+            return None
+
+    stabilizing = property(lambda self: self._operator is not None,
+                           doc="Whether the gain is gamma-stabilizing.")
 
     @cached
     def stein(self) -> SteinOperator:
         """The Stein operator of Acl, factored once: P, the dP stack and the
         forward solve of :meth:`hvp` solve in Acl', Sigma and the adjoint
         solve in Acl."""
-        if not self.stabilizing:
+        stein = self._operator
+        if stein is None:
             raise _not_stabilizing(self.margin)
-        return self.__dict__["stein"]  # kept there by the check
+        return stein
 
     @cached
     def _value(self) -> ValueSolution:
@@ -330,16 +350,6 @@ def lambda_term(prob: LqrProblem, gain: Gain, jac: np.ndarray) -> np.ndarray:
     # column i of jac is vec(dP_i): unvec each one
     ev.dP = jac.T.reshape(mn, n, n).swapaxes(1, 2)
     return ev.Lambda
-
-
-def hessian_vector_product(prob: LqrProblem, gain: Gain, v: np.ndarray) -> np.ndarray:
-    """H_exact @ v at a gain, without forming H_exact or the Jacobian.
-
-    Two Stein solves, one in Acl' and one in Acl, on one factored operator
-    (see :meth:`Evaluation.hvp`). Raises NotStabilizing outside the
-    stabilizing set and SingularT on its boundary.
-    """
-    return Evaluation(prob, gain).hvp(v)
 
 
 def exact_hessian(prob: LqrProblem, gain: Gain) -> Evaluation:

@@ -40,6 +40,9 @@ from .benchmarks import (default_landscape_window, initial_gain, landscape,
                          make_pendulum, make_shear_building)
 
 TRACE_HEADER = "k,J,grad_norm,gain_error,alpha,backtracks"
+# Most points a landscape axis may have; np.linspace fails on counts such
+# as 2**63, and a grid is evaluated cell by cell
+_MAX_GRID_STEPS = 10 ** 4
 
 
 @dataclass
@@ -175,8 +178,8 @@ def _grid_range(node, path: str) -> tuple[float, float, int]:
         raise ConfigError(f"{path}: steps must be an integer, got {raw!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError(f"{path}: bounds must be finite")
-    if steps < 1:
-        raise ConfigError(f"{path}: steps must be at least 1, got {steps}")
+    if not 1 <= steps <= _MAX_GRID_STEPS:
+        raise ConfigError(f"{path}: steps must lie in [1, {_MAX_GRID_STEPS}], got {steps}")
     return lo, hi, steps
 
 

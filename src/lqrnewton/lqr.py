@@ -9,7 +9,7 @@ both, and every further solve in the same closed loop.
 Every per-gain result here, P, Sigma, J and both gains of
 :func:`optimal_gain`, is read from a
 :class:`~lqrnewton.derivatives.Evaluation`, so one stability rule,
-:func:`_certified_operator`, decides for every entry point whether a gain
+``Evaluation.stabilizing``, decides for every entry point whether a gain
 is gamma-stabilizing. A closed loop that is not finite is not: its
 eigenvalues are inf (:func:`_eigvals`) and its doubling powers are refused.
 :func:`is_gamma_stabilizing` is the plain eigenvalue test, which no solve
@@ -70,7 +70,10 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     scale = 1.0 + np.linalg.norm(a, "fro")
     if np.linalg.norm(a - a.T, "fro") > _SYM_TOL * scale:
         raise ValueError(f"{name} must be symmetric")
-    return (a + a.T) / 2.0
+    # a + a.T can overflow where a does not
+    a = (a + a.T) / 2.0
+    _require_finite(a, name)
+    return a
 
 
 def _check_psd(a: np.ndarray, name: str) -> None:
@@ -216,7 +219,7 @@ def is_gamma_stabilizing(prob: LqrProblem, gain: Gain) -> tuple[bool, float]:
 
 def _not_stabilizing(margin: float) -> NotStabilizing:
     rho = 1.0 - margin
-    why = ">= 1" if rho >= 1.0 else "< 1, but the doubling powers do not certify it"
+    why = ">= 1" if rho >= 1.0 else "< 1, but its Stein operator cannot be formed"
     return NotStabilizing(
         f"the gain is not gamma-stabilizing (rho(sqrt(gamma)*Acl) = {rho:.6f} {why})")
 
@@ -243,7 +246,8 @@ class SteinOperator:
     at most 2^-52 ||X||_F whatever the scale of M.
     L is kept as ``depth`` (None on the Kronecker branch); since
     rho(F)^(2^L) <= ||F^(2^L)||_F, it bounds rho(F) <= 2^(-26 / 2^L) < 1.
-    NoConvergence is raised when a power is not finite or 100 levels do
+    NoConvergence is raised when the Kronecker system is singular or
+    overflows, when a power is not finite, or when 100 levels do
     not reach the depth test. Each doubled slice must then satisfy
     ||M + gamma G X G' - X||_F <= 1e-10 * (1 + ||X||_F); the slices are
     corrected once by doubling on their residual, and NoConvergence is
@@ -259,8 +263,10 @@ class SteinOperator:
             T *= -gamma
             T.flat[::n * n + 1] += 1.0
             self._lu, self._piv, info = _getrf(T, overwrite_a=True)
-            if info != 0:
-                raise np.linalg.LinAlgError("discounted Lyapunov operator is singular")
+            # an entry of T that overflowed leaves factors that are not finite
+            if info != 0 or not np.isfinite(self._lu).all():
+                raise NoConvergence("discounted Lyapunov operator is singular or "
+                                    "not finite")
             self.depth = None
         else:
             self._powers = _doubling_powers(np.sqrt(gamma) * G)
@@ -323,51 +329,31 @@ def _doubling_powers(F: np.ndarray) -> list[np.ndarray]:
     raise NoConvergence("discounted Lyapunov doubling iteration did not converge")
 
 
-def closed_loop_operator(prob: LqrProblem, Acl: np.ndarray) -> SteinOperator:
-    """The Stein operator of a closed loop Acl = A - B K: P solves in Acl'
-    (``solve``), Sigma in Acl (``solve(..., transpose=True)``)."""
-    return SteinOperator(Acl.T, prob.gamma)
-
-
-def _certified_operator(prob: LqrProblem, Acl: np.ndarray,
-                        margin) -> Optional[SteinOperator]:
-    """The Stein operator of the closed loop Acl = A - B K of a
-    gamma-stabilizing gain, or None for a gain that is not. This is the
-    library's one stability rule; ``Evaluation.stabilizing`` applies it,
-    and every solve at a gain reads that.
-
-    For n <= _DIRECT_SOLVE_MAX_DIM the test is ``margin() > 0``, where
-    ``margin`` is a callable giving 1 - rho(sqrt(gamma) * Acl) from
-    :func:`_eigvals`, -inf for a loop that is not finite. Above, no
-    eigenvalue is computed: the gain counts as stabilizing when the
-    operator's doubling powers can be formed, since reaching the depth
-    test certifies rho(sqrt(gamma) * Acl) < 1 (see :class:`SteinOperator`),
-    and a NoConvergence from them means it does not, as for a loop that is
-    not finite. Such a refusal can also come from a closed loop that an
-    eigenvalue solve calls stable: one so non-normal that its powers
-    overflow before they decay. Conversely, the rounded powers of such a
-    loop can decay although it is unstable by 1e-9 to 1e-6; its solves
-    then miss their residual bound and raise NoConvergence.
-    """
-    if prob.n <= _DIRECT_SOLVE_MAX_DIM:
-        return closed_loop_operator(prob, Acl) if margin() > 0.0 else None
-    try:
-        return closed_loop_operator(prob, Acl)
-    except NoConvergence:
-        return None
-
-
 def _eigvals(prob: LqrProblem, Acl: np.ndarray) -> np.ndarray:
     """Eigenvalues of sqrt(gamma) * Acl, as np.linalg.eigvals gives them
     (the same geev call, and real when all are): every eigenvalue of a loop
     that is not finite is inf, so its margin is -inf and the stability rule
-    refuses it. LinAlgError when geev does not converge."""
+    refuses it. LinAlgError when geev does not converge.
+
+    scipy's geev does not scale its eigenvalues back once max |F| passes
+    2^459 (LAPACK's bignum), and returns them scaled up below 2^-459. So
+    an F outside [2^-459, 2^459] is brought to max |F| in [1/2, 1) by an
+    exact power of two, and its eigenvalues are scaled back; an F inside
+    is solved as it is."""
     F = np.sqrt(prob.gamma) * Acl
-    if not np.isfinite(F).all():
+    top = np.abs(F).max()
+    if not top < np.inf:
         return np.full(len(F), np.inf, dtype=complex)
+    shift = 0 if 2.0 ** -459 <= top <= 2.0 ** 459 else int(np.frexp(top)[1])
+    if shift:
+        F = np.ldexp(F, -shift)
     wr, wi, _, _, info = _geev(F, compute_vl=0, compute_vr=0)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if shift:
+        # an eigenvalue beyond float range is inf, and refused as such
+        with np.errstate(over="ignore"):
+            wr, wi = np.ldexp(wr, shift), np.ldexp(wi, shift)
     if not wi.any():
         return wr
     w = np.empty(len(wr), dtype=complex)
@@ -415,7 +401,7 @@ def solve_value(prob: LqrProblem, gain: Gain, *,
     The result is ``Evaluation(prob, gain)``'s P and q, the same bits, and
     the gain is checked by its rule: NotStabilizing for a gain it refuses,
     and NoConvergence where the solve misses its residual bound (see
-    :func:`_certified_operator`). ``stein`` is how the Evaluation itself
+    ``Evaluation.stabilizing``). ``stein`` is how the Evaluation itself
     solves: it passes its checked operator, which is used as given.
     """
     if stein is None:
@@ -471,13 +457,14 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     Hewer step, K* = (R + g B'PB)^-1 g B'PA, then brings K* to policy
     iteration's accuracy, and the value returned is solved at K* itself.
 
-    Raises NoConvergence on a non-finite iterate, after max_iter steps, or
-    when the K* found is not gamma-stabilizing (e.g. B = 0 with an unstable
-    A, or an unstable mode that Q does not see). Both gains are read as
-    :class:`~lqrnewton.derivatives.Evaluation` objects and checked by
-    their rule: above n = 10 by the doubling powers of their operators,
-    with no eigenvalue solve unless one is refused, whose margin the error
-    then reports. The value returned is the Evaluation's at K*.
+    Raises NoConvergence on a non-finite iterate or a singular step, after
+    max_iter steps, or when the K* found is not gamma-stabilizing (e.g.
+    B = 0 with an unstable A, or an unstable mode that Q does not see).
+    Both gains are read as :class:`~lqrnewton.derivatives.Evaluation`
+    objects and checked by their rule: above n = 10 by the doubling powers
+    of their operators, with no eigenvalue solve unless one is refused,
+    whose margin the error then reports. The value returned is the
+    Evaluation's at K*.
     """
     g, n = prob.gamma, prob.n
     A = np.sqrt(g) * prob.A
@@ -488,7 +475,11 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
         for _ in range(max_iter):
             # numpy's solve, not _solve: scipy's gesv rounds differently
             # from 6 unknowns up and would move the last bits of K*
-            V = np.linalg.solve(np.eye(n) + G @ H, np.hstack((A, G)))
+            try:
+                V = np.linalg.solve(np.eye(n) + G @ H, np.hstack((A, G)))
+            except np.linalg.LinAlgError:
+                raise NoConvergence("Riccati doubling met a singular system I + G H; "
+                                    "the plant's scale defeats it") from None
             G = G + A @ V[:, n:] @ A.T
             H_next = H + A.T @ H @ V[:, :n]
             A = A @ V[:, :n]

@@ -96,45 +96,14 @@ class OptimizerConfig:
         _require_int(self.max_backtracks, "max_backtracks", 0)
 
 
-class _MarginOnRead:
-    """IterateRecord.stabilizing_margin: the float it was given, or, given a
-    (prob, gain) pair, Evaluation(prob, gain).margin, computed on first
-    read and kept in place of the pair."""
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, rec, owner=None):
-        if rec is None:
-            raise AttributeError(self.key)  # the field has no default
-        margin = getattr(rec, self.key)
-        if isinstance(margin, tuple):
-            margin = Evaluation(*margin).margin
-            setattr(rec, self.key, margin)
-        return margin
-
-    # the value lives in the record's slot named self.key
-    def __set__(self, rec, margin):
-        setattr(rec, self.key, margin)
-
-
-@dataclass
+# slots: a RunRecord keeps one record per iterate; without them each would
+# carry an instance dictionary too
+@dataclass(slots=True)
 class IterateRecord:
     """State of one recorded iterate plus the step taken from it.
 
     alpha_used and backtracks are zero on the final row (no step taken).
-    stabilizing_margin is 1 - rho(sqrt(gamma) (A - BK)). :func:`run`
-    records it as a float where the iterate's Evaluation computed it (every
-    n <= 10), and otherwise has it computed, by the same eigenvalue solve,
-    when it is first read, so a run above n = 10 makes no eigenvalue solve
-    of its own. The record then keeps a reference to the problem and the
-    gain until that read; equality and repr compare and show the float.
     """
-
-    # a RunRecord keeps one record per iterate; without slots each would
-    # carry an instance dictionary too
-    __slots__ = ("k", "J", "grad_norm", "gain_error", "alpha_used", "backtracks",
-                 "_stabilizing_margin")
 
     k: int
     J: float
@@ -142,7 +111,6 @@ class IterateRecord:
     gain_error: float
     alpha_used: float
     backtracks: int
-    stabilizing_margin: float = _MarginOnRead()
 
 
 @dataclass
@@ -331,8 +299,7 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     DirectionError propagates with the partial record attached as
     ``exc.record``. The accepted trial's Evaluation becomes the next
     iterate, so its stability check and value solve are not repeated.
-    Above n = 10 a run makes no eigenvalue solve: the margins it records
-    are computed when read (see :class:`IterateRecord`).
+    Above n = 10 a run makes no eigenvalue solve.
     """
     ev = Evaluation(prob, cfg.seed_gain if cfg.seed_gain is not None else Gain.zero(prob))
     if not ev.stabilizing:
@@ -351,9 +318,8 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
         gain_error = math.sqrt(error @ error)
 
         def record(alpha_used: float, backtracks: int) -> None:
-            margin = ev.__dict__.get("margin", (prob, gain))
             rec.steps.append(IterateRecord(k, ev.J, grad_norm, gain_error,
-                                           alpha_used, backtracks, margin))
+                                           alpha_used, backtracks))
             rec.gains.append(gain)
 
         if grad_norm <= cfg.grad_tol or k == cfg.max_iter:

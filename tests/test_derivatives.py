@@ -3,7 +3,7 @@ import pytest
 
 from lqrnewton import lqr
 from lqrnewton import (Evaluation, Gain, LqrProblem, exact_hessian,
-                       gn_hessian, hessian_vector_product, initial_gain,
+                       gn_hessian, initial_gain,
                        is_gamma_stabilizing, jacobian_vecP, lambda_term,
                        make_pendulum, make_shear_building, optimal_gain,
                        policy_gradient, solve_sigma, solve_value, vec)
@@ -289,7 +289,7 @@ class TestHessianVectorProduct:
     def test_matches_gradient_differences(self, hvp_cases, case):
         prob, gain = hvp_cases[case]
         v = np.random.default_rng(case).standard_normal(prob.m * prob.n)
-        hv = hessian_vector_product(prob, gain, v)
+        hv = Evaluation(prob, gain).hvp(v)
         assert rel_err(hv, fd_hvp(prob, gain, v)) <= 1e-6
 
     def test_doubling_branch_matches_the_dense_hessian(self):
@@ -309,7 +309,7 @@ class TestHessianVectorProduct:
         assert rel_err(ev.hvp(s * v) / s, ev.hvp(v)) <= 1e-12
 
     def test_equals_the_dense_scalar_hessian(self, scalar_prob, scalar_gain):
-        hv = hessian_vector_product(scalar_prob, scalar_gain, np.array([2.0]))
+        hv = Evaluation(scalar_prob, scalar_gain).hvp(np.array([2.0]))
         assert hv[0] == pytest.approx(2.0 * HEXACT_05, rel=1e-13)
 
     def test_singular_near_boundary(self):
@@ -319,4 +319,4 @@ class TestHessianVectorProduct:
         p = LqrProblem(A=A, B=np.ones((n, 1)), Q=np.eye(n), R=[[1.0]],
                        gamma=gamma, Sigma_w=np.zeros((n, n)), Sigma_0=np.eye(n))
         with pytest.raises(SingularT):
-            hessian_vector_product(p, Gain(np.zeros((1, n))), np.ones(n))
+            Evaluation(p, Gain(np.zeros((1, n)))).hvp(np.ones(n))

@@ -87,10 +87,11 @@ class TestConfigParsing:
         ([0.0, float("inf"), 3], "finite"), ([float("nan"), 1.0, 3], "finite"),
         ([0.0, 1.0, float("inf")], "expected"), ([0.0, 1.0], "expected"),
         ([0.0, 1.0, 2.7], "integer"), ([0.0, 1.0, True], "integer"),
-        (["0.0", 1.0, 3], "expected a number")],
+        (["0.0", 1.0, 3], "expected a number"), ([0.0, 1.0, 1e308], "steps"),
+        ([0.0, 1.0, 2 ** 63], "steps")],
         ids=["negative-steps", "zero-steps", "infinite-bound", "nan-bound",
              "infinite-steps", "missing-steps", "fractional-steps", "bool-steps",
-             "string-bound"])
+             "string-bound", "float-steps-beyond-the-bound", "int-steps-beyond-the-bound"])
     def test_landscape_ranges_validated(self, theta1, message):
         doc = {"problem": {"generator": "pendulum"},
                "landscape": {"theta1": theta1, "theta2": [0.0, 1.0, 3]}}
@@ -381,6 +382,20 @@ class TestCli:
         for bad in bad_emits:
             with pytest.raises(ConfigError, match=rf"emit\.{next(iter(bad))}"):
                 config_from_dict({**PENDULUM_DOC, "emit": bad})
+
+    @pytest.mark.parametrize("field", ["Q", "Sigma_w"])
+    def test_a_matrix_that_overflows_when_symmetrized_is_a_config_error(
+            self, tmp_path, capsys, field):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        problem = {"A": eye, "B": [[0.0], [1.0]], "Q": eye, "R": [[1.0]], "gamma": 0.9,
+                   "Sigma_w": eye, "Sigma_0": eye, field: [[1e308, 0.0], [0.0, 1.0]]}
+        path = write_config(tmp_path, {"problem": problem})
+        for command in (["optimize", "--method", "newton"], ["experiment"]):
+            argv = [command[0], "--config", str(path), *command[1:],
+                    "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"config error: problem: {field} has non-finite entries\n"
 
     def test_an_overflowing_trial_gain_ends_the_run_without_a_traceback(
             self, tmp_path, capsys):

@@ -55,6 +55,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             simple_problem(A=np.array([[np.inf, 0.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("field", ["Q", "R", "Sigma_w", "Sigma_0"])
+    def test_rejects_a_matrix_that_overflows_when_symmetrized(self, field):
+        # (a + a.T) / 2 doubles the diagonal before it halves it
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match=f"{field} has non-finite"):
+            simple_problem(**{field: np.diag([1e308, 1.0])})
+
 
 class TestGain:
     def test_theta_is_column_major(self):
@@ -145,6 +152,19 @@ class TestStabilizing:
             with pytest.raises(NotStabilizing, match="= inf >= 1"):
                 solve_value(p, gain)
 
+    @pytest.mark.parametrize("K, margin", [([[1.0, 0.0]], -np.sqrt(0.9) * 1e154),
+                                           ([[0.0, 0.0]], 1.0 - np.sqrt(0.9) * 1.1)],
+                             ids=["rho=9.5e153", "rho=1.04"])
+    def test_a_loop_beyond_the_range_of_geev_keeps_its_margin(self, K, margin):
+        # max |entry| = 1e308 is past 2^459, where geev's eigenvalues come
+        # back unscaled and read as a margin of 1
+        p = LqrProblem(A=[[1.1, 1e308], [0.0, 0.9]], B=[[0.0], [1.0]], Q=np.eye(2),
+                       R=[[1.0]], gamma=0.9, Sigma_w=np.eye(2), Sigma_0=np.eye(2))
+        stabilizing, got = is_gamma_stabilizing(p, Gain(K))
+        assert not stabilizing and got == pytest.approx(margin, rel=1e-12)
+        with pytest.raises(NotStabilizing, match=">= 1"):
+            performance(p, Gain(K))
+
 
 class TestDirectLapack:
     """The stability check and the small solves call LAPACK's geev and gesv
@@ -169,6 +189,19 @@ class TestDirectLapack:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             dtypes.add(got.dtype)
         assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+    @pytest.mark.parametrize("e", [400, 459, 460, 500, 600, -400, -459, -460, -500, -600])
+    def test_eigvals_scale_with_the_loop(self, e):
+        # geev does not scale its eigenvalues back beyond 2^459 and returns
+        # them scaled up below 2^-459
+        rng = np.random.default_rng(abs(e))
+        for n in (1, 2, 3, 6, 10):
+            G = rng.standard_normal((n, n))
+            got = lqr._eigvals(self._open_loop(G), np.ldexp(G, e))
+            want = np.linalg.eigvals(np.sqrt(0.9) * G) * 2.0 ** e
+            assert got.dtype == want.dtype
+            err = np.abs(np.sort_complex(got) - np.sort_complex(want)).max()
+            assert err <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_loop_that_is_not_finite_has_inf_eigvals(self, bad, monkeypatch):
@@ -226,10 +259,25 @@ class TestSolveValue:
         g = Gain([[0.1, 0.2], [0.0, 0.3]])
         want = solve_value(p, g)
         calls = count_calls(monkeypatch, lqr, "_geev")
-        got = solve_value(p, g, stein=lqr.closed_loop_operator(p, closed_loop(p, g)))
+        got = solve_value(p, g, stein=lqr.SteinOperator(closed_loop(p, g).T, p.gamma))
         assert calls == []
         np.testing.assert_array_equal(got.P, want.P)
         assert got.q == want.q
+
+    @pytest.mark.parametrize("A", [[[0.5, 1e200], [0.0, 0.5]], [[0.5, 0.0], [1e200, 0.5]]],
+                             ids=["getrf-singular", "factors-not-finite"])
+    def test_a_stable_loop_whose_operator_overflows_is_refused(self, A):
+        # G (x) G overflows: getrf finds one operator singular and factors
+        # the other into entries that are not finite
+        p = LqrProblem(A=A, B=[[0.0], [1.0]], Q=np.eye(2), R=[[1.0]], gamma=0.9,
+                       Sigma_w=np.eye(2), Sigma_0=np.eye(2))
+        gain = Gain.zero(p)
+        with np.errstate(over="ignore"):
+            ev = Evaluation(p, gain)
+            assert ev.margin > 0.0 and not ev.stabilizing
+            for solve in (solve_value, solve_sigma, performance):
+                with pytest.raises(NotStabilizing, match="cannot be formed"):
+                    solve(p, gain)
 
     @pytest.mark.parametrize("n", [3, 25])
     def test_residual_and_symmetry(self, n):
@@ -620,6 +668,13 @@ class TestOptimalGain:
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence):
                 optimal_gain(p, max_iter=50)
+
+    def test_a_singular_doubling_step_raises(self):
+        # an entry of 2^63 makes I + G H singular in floating point
+        p = LqrProblem(A=[[1.0, 0.1], [2.0 ** 63, 1.0]], B=[[0.0], [1.0]], Q=np.eye(2),
+                       R=[[0.1]], gamma=0.9, Sigma_w=np.eye(2), Sigma_0=np.eye(2))
+        with pytest.raises(NoConvergence, match="singular"):
+            optimal_gain(p)
 
     def test_iteration_budget_raises(self):
         with pytest.raises(NoConvergence, match="did not converge in 1 iterations"):
