@@ -7,9 +7,9 @@ exact Newton), independent validation oracles, and two benchmark plants.
 """
 
 from .errors import (ConfigError, DimensionUnsupported, DirectionError,
-                     LineSearchFailure, LqrError, NoConvergence,
-                     NotStabilizing, PerturbationLeftStabilizingSet,
-                     SeedNotStabilizing, SingularT)
+                     LqrError, NoConvergence, NotStabilizing,
+                     PerturbationLeftStabilizingSet, SeedNotStabilizing,
+                     SingularT)
 from .linalg import expm, kron, psd_sqrt, spectral_radius, unvec, vec
 from .lqr import (Gain, LqrProblem, ValueSolution, closed_loop,
                   is_gamma_stabilizing, optimal_gain, performance,
@@ -31,9 +31,9 @@ from .experiment import (EmitFlags, ExperimentConfig, config_from_dict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DimensionUnsupported", "DirectionError",
-    "LineSearchFailure", "LqrError", "NoConvergence", "NotStabilizing",
-    "PerturbationLeftStabilizingSet", "SeedNotStabilizing", "SingularT",
+    "ConfigError", "DimensionUnsupported", "DirectionError", "LqrError",
+    "NoConvergence", "NotStabilizing", "PerturbationLeftStabilizingSet",
+    "SeedNotStabilizing", "SingularT",
     "expm", "kron", "psd_sqrt", "spectral_radius", "unvec", "vec",
     "Gain", "LqrProblem", "ValueSolution", "closed_loop",
     "is_gamma_stabilizing", "optimal_gain", "performance", "solve_sigma",

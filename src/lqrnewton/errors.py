@@ -30,10 +30,6 @@ class DirectionError(LqrError):
     """No positive-definite preconditioner produced a descent direction."""
 
 
-class LineSearchFailure(LqrError):
-    """Backtracking exhausted its budget without an acceptable step."""
-
-
 class PerturbationLeftStabilizingSet(LqrError):
     """A finite-difference probe stepped outside the stabilizing set."""
 

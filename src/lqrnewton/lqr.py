@@ -67,11 +67,20 @@ def _require_finite(a: np.ndarray, name: str) -> None:
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    scale = 1.0 + np.linalg.norm(a, "fro")
-    if np.linalg.norm(a - a.T, "fro") > _SYM_TOL * scale:
-        raise ValueError(f"{name} must be symmetric")
-    # a + a.T can overflow where a does not
-    a = (a + a.T) / 2.0
+    # the norms, a - a.T and a + a.T can overflow where a does not; the
+    # checks below refuse or decide such a matrix, so numpy need not warn
+    with np.errstate(over="ignore"):
+        scale = 1.0 + np.linalg.norm(a, "fro")
+        asym = np.linalg.norm(a - a.T, "fro")
+        if scale == np.inf:
+            # inf > tol * inf would accept any asymmetry: decide on a copy
+            # scaled exactly, by a power of two, to a largest entry in
+            # [0.5, 1), where 1 + ||a|| is ||a||
+            a_s = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+            scale, asym = np.linalg.norm(a_s, "fro"), np.linalg.norm(a_s - a_s.T, "fro")
+        if asym > _SYM_TOL * scale:
+            raise ValueError(f"{name} must be symmetric")
+        a = (a + a.T) / 2.0
     _require_finite(a, name)
     return a
 
@@ -172,14 +181,6 @@ class Gain:
     @property
     def theta(self) -> np.ndarray:
         return vec(self.K)
-
-    @property
-    def m(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[1]
 
     @classmethod
     def from_theta(cls, theta: np.ndarray, m: int, n: int) -> "Gain":

@@ -12,9 +12,10 @@ step, which their directions are scaled for. A gradient direction has no
 such scale, so a first-order search after the first starts at the
 previous step times the ratio of the previous slope grad'd to this one
 (Nocedal & Wright, eq. 3.60), which saves most of the trials a restart at
-alpha would reject. Each trial is one Evaluation, and trial gains that
-leave the gamma-stabilizing set (where the cost is undefined) are rejected
-exactly like Armijo failures, so no recorded iterate is ever
+alpha would reject. Every step is taken by one search (_step), and a
+fixed step is its one-trial case. Each trial is one Evaluation, and trial
+gains that leave the gamma-stabilizing set (where the cost is undefined)
+are rejected exactly like Armijo failures, so no recorded iterate is ever
 non-stabilizing.
 Above n = 10 that includes a trial whose doubling powers do not certify
 it (see :class:`~lqrnewton.derivatives.Evaluation`), and one they certify
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DirectionError, LineSearchFailure, NoConvergence, SeedNotStabilizing
+from .errors import DirectionError, NoConvergence, SeedNotStabilizing
 from .lqr import Gain, LqrProblem, optimal_gain
 from .derivatives import Evaluation
 from .linalg import vec
@@ -218,52 +219,37 @@ def search_direction(method: str, ev: Evaluation) -> np.ndarray:
     return d
 
 
-def _trial(prob: LqrProblem, theta0: np.ndarray, alpha: float,
-           direction: np.ndarray) -> Optional[Evaluation]:
-    """The Evaluation at the trial gain theta0 + alpha * direction, with J
-    read, or None for a trial that is refused: one whose gain is not finite
-    (refused by Gain), that is not stabilizing (including a closed loop
-    that overflows), or that its doubling powers certify although its value
-    solve misses the residual bound (a loop unstable by round-off)."""
-    try:
-        # a step that overflows is refused, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
-                                                     prob.m, prob.n))
-        if trial.stabilizing:
-            trial.J  # read here, so a solve that misses its bound refuses the trial
-            return trial
-    except (ValueError, NoConvergence):
-        pass
-    return None
+def _step(prob: LqrProblem, theta0: np.ndarray, direction: np.ndarray, J0: float,
+          slope: float, cfg: OptimizerConfig, alpha0: float):
+    """The step from theta0 along direction: (alpha, trial Evaluation,
+    backtracks), or None when no trial is accepted.
 
-
-def _backtrack(prob: LqrProblem, gain: Gain, direction: np.ndarray, J0: float,
-               grad: np.ndarray, cfg: OptimizerConfig, alpha0: float):
-    """Armijo backtracking with a stabilization guard, from the step alpha0.
-
-    Returns (alpha, trial Evaluation, backtracks) for the first j whose
-    step alpha = alpha0 * shrink^j gives a stabilizing gain that meets the
-    Armijo decrease; trial gains that are not finite, lie outside the
-    stabilizing set, or whose value solve misses its residual bound, count
-    as Armijo failures. Each trial is one :class:`Evaluation`, built by
-    :func:`_trial`. Raises LineSearchFailure when max_backtracks shrinks
-    are exhausted.
+    A fixed step is one trial at alpha0. Backtracking tries
+    alpha = alpha0 * shrink^j for j = 0 .. max_backtracks and takes the
+    first trial that meets the Armijo decrease J <= J0 + c * alpha * slope,
+    with slope = grad'direction. In both modes a trial is refused when its
+    gain is not finite (refused by Gain), when it is not stabilizing
+    (including a closed loop that overflows), or when its doubling powers
+    certify it although its value solve misses the residual bound (a loop
+    unstable by round-off). Each trial is one :class:`Evaluation`.
     """
-    if not direction.any():
-        return alpha0, Evaluation(prob, gain), 0
-    slope = float(grad @ direction)
-    if slope >= 0.0:
-        raise DirectionError("backtracking requires a descent direction")
-    theta0, alpha = gain.theta, alpha0
-    for j in range(cfg.max_backtracks + 1):
-        trial = _trial(prob, theta0, alpha, direction)
-        # Armijo: the cost must fall to J0 + c * alpha * slope or below
-        if trial is not None and trial.J <= J0 + cfg.c_armijo * alpha * slope:
-            return alpha, trial, j
+    fixed = cfg.step_mode == "fixed"
+    alpha = alpha0
+    for j in range(1 if fixed else cfg.max_backtracks + 1):
+        try:
+            # a step that overflows is refused, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
+                                                         prob.m, prob.n))
+            # J is read in both modes, so a solve that misses its bound
+            # refuses the trial
+            if trial.stabilizing and (trial.J <= J0 + cfg.c_armijo * alpha * slope
+                                      or fixed):
+                return alpha, trial, j
+        except (ValueError, NoConvergence):
+            pass
         alpha *= cfg.shrink
-    raise LineSearchFailure(
-        f"no stabilizing Armijo step within {cfg.max_backtracks} backtracks")
+    return None
 
 
 def _initial_step(alpha: float, decrease: Optional[float], slope: float) -> float:
@@ -290,15 +276,16 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     search starts at alpha, a first-order search after the first at
     min(alpha, alpha_prev * slope_prev / slope), with slope = grad'd
     (:func:`_initial_step`), and a record's backtracks counts the shrinks
-    from its search's first step to the step alpha_used it took. The gain-error column uses
-    k_star (computed once via optimal_gain when not supplied). On a line
-    search failure, or a fixed step that would leave the stabilizing set,
-    the current iterate is kept and the run is flagged rather than raising
-    (a trial gain that is not finite, or whose value solve misses its
-    residual bound, counts as leaving);
-    DirectionError propagates with the partial record attached as
-    ``exc.record``. The accepted trial's Evaluation becomes the next
-    iterate, so its stability check and value solve are not repeated.
+    from its search's first step to the step alpha_used it took. Every step
+    is one call of :func:`_step`. The gain-error column uses k_star
+    (computed once via optimal_gain when not supplied). When no trial is
+    accepted (a line search failure, or a fixed step that would leave the
+    stabilizing set), the current iterate is kept and the run is flagged
+    rather than raising (a trial gain that is not finite, or whose value
+    solve misses its residual bound, counts as leaving); DirectionError
+    propagates with the partial record attached as ``exc.record``. The
+    accepted trial's Evaluation becomes the next iterate, so its stability
+    check and value solve are not repeated.
     Above n = 10 a run makes no eigenvalue solve.
     """
     ev = Evaluation(prob, cfg.seed_gain if cfg.seed_gain is not None else Gain.zero(prob))
@@ -310,55 +297,36 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     rec = RunRecord(k_star=k_star)
     decrease = None  # the previous search's alpha * slope
     for k in range(cfg.max_iter + 1):
-        gain = ev.gain
         # numpy's 2-norm and Frobenius norm, sqrt(x @ x) over the ravel,
         # without its wrapper
         grad_norm = math.sqrt(ev.grad @ ev.grad)
-        error = (gain.K - k_star.K).ravel()
-        gain_error = math.sqrt(error @ error)
-
-        def record(alpha_used: float, backtracks: int) -> None:
-            rec.steps.append(IterateRecord(k, ev.J, grad_norm, gain_error,
-                                           alpha_used, backtracks))
-            rec.gains.append(gain)
-
+        error = (ev.gain.K - k_star.K).ravel()
+        row = IterateRecord(k, ev.J, grad_norm, math.sqrt(error @ error), 0.0, 0)
+        rec.steps.append(row)
+        rec.gains.append(ev.gain)
         if grad_norm <= cfg.grad_tol or k == cfg.max_iter:
-            record(0.0, 0)
             rec.converged = grad_norm <= cfg.grad_tol
             break
 
         try:
             direction = search_direction(cfg.method, ev)
         except DirectionError as exc:
-            record(0.0, 0)
             rec.flag = "direction_error"
-            rec.final_gain = gain
+            rec.final_gain = ev.gain
             exc.record = rec
             raise
-
-        if cfg.step_mode == "fixed":
-            trial = _trial(prob, gain.theta, cfg.alpha, direction)
-            if trial is None:
-                record(0.0, 0)
-                rec.flag = "left_stabilizing_set"
-                break
-            alpha_used, backtracks = cfg.alpha, 0
-        else:
-            slope = float(ev.grad @ direction)
-            # Newton-type directions carry their own scale: the unit step
-            alpha0 = (_initial_step(cfg.alpha, decrease, slope)
-                      if cfg.method == "first_order" else cfg.alpha)
-            try:
-                alpha_used, trial, backtracks = _backtrack(
-                    prob, gain, direction, ev.J, ev.grad, cfg, alpha0)
-            except LineSearchFailure:
-                record(0.0, 0)
-                rec.flag = "line_search_failure"
-                break
-            decrease = alpha_used * slope
-
-        record(alpha_used, backtracks)
-        ev = trial
+        slope = float(ev.grad @ direction)
+        # Newton-type directions carry their own scale: the unit step
+        alpha0 = (_initial_step(cfg.alpha, decrease, slope)
+                  if cfg.method == "first_order" and cfg.step_mode == "backtracking"
+                  else cfg.alpha)
+        step = _step(prob, ev.gain.theta, direction, ev.J, slope, cfg, alpha0)
+        if step is None:
+            rec.flag = ("left_stabilizing_set" if cfg.step_mode == "fixed"
+                        else "line_search_failure")
+            break
+        row.alpha_used, ev, row.backtracks = step
+        decrease = row.alpha_used * slope
 
     rec.final_gain = ev.gain
     return rec

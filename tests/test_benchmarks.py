@@ -91,6 +91,8 @@ class TestShearBuilding:
             make_shear_building(mass=0.0, seed=0)
         with pytest.raises(ValueError):
             make_shear_building(stiffness=-1.0, seed=0)
+        with pytest.raises(ValueError, match="damping"):
+            make_shear_building(damping=-1.0, seed=0)
 
     def test_seeded_and_deterministic(self):
         a = make_shear_building(floors=4, seed=5)
@@ -114,6 +116,10 @@ class TestInitialGain:
         k_star, _ = optimal_gain(p)
         assert np.linalg.norm(k0.K - k_star.K) > 1.0
         assert performance(p, k0) > performance(p, k_star)
+
+    def test_rejects_a_non_positive_inflation(self):
+        with pytest.raises(ValueError, match="r_inflation"):
+            initial_gain(make_pendulum(), r_inflation=0)
 
 
 class TestLandscape:
@@ -140,6 +146,13 @@ class TestLandscape:
         assert grid.stabilizing.any()
         assert np.all(np.isnan(grid.J[~grid.stabilizing]))
         assert np.all(np.isfinite(grid.J[grid.stabilizing]))
+
+    def test_min_cell_needs_a_stabilizing_cell(self):
+        p = make_pendulum()
+        grid = landscape(p, (-1e4, -9e3, 2), (-1e4, -9e3, 2))
+        assert not grid.stabilizing.any()
+        with pytest.raises(ValueError, match="no stabilizing cell"):
+            grid.min_cell()
 
     def test_one_stability_check_per_cell(self, monkeypatch):
         p = make_pendulum()

@@ -9,7 +9,7 @@ from lqrnewton.errors import ConfigError
 from lqrnewton.experiment import TRACE_HEADER, trace_csv_text
 from lqrnewton.optimize import OptimizerConfig, run
 from lqrnewton import (Gain, cli, lqr, make_pendulum, make_shear_building, initial_gain,
-                       performance, policy_gradient)
+                       optimal_gain, performance, policy_gradient)
 
 from conftest import CRITERION_10_DOC
 
@@ -97,6 +97,19 @@ class TestConfigParsing:
                "landscape": {"theta1": theta1, "theta2": [0.0, 1.0, 3]}}
         with pytest.raises(ConfigError, match=rf"landscape\.theta1: .*{message}"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"problem": [1.0]}, r"problem: expected an object"),
+        ({"methods": {"method": "newton"}}, r"methods: expected a list"),
+        ({"methods": ["newton"]}, r"methods\[0\]: expected an object"),
+        ({"emit": [True]}, r"emit: expected an object"),
+        ({"emit": {"trace": True}}, r"emit: unknown field\(s\) trace"),
+        ({"landscape": {"theta1": [0.0, 1.0, 3]}},
+         r"landscape: expected an object with theta1 and theta2")],
+        ids=["problem", "methods", "method", "emit", "emit-field", "landscape"])
+    def test_a_node_of_the_wrong_kind_is_refused(self, doc, message):
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            config_from_dict({"problem": {"generator": "pendulum"}, **doc})
 
     @pytest.mark.parametrize("problem, method, where", [
         ({"gamma": "0.9"}, {}, r"problem\.gamma"),
@@ -326,6 +339,23 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "landscape.csv").exists()
 
+    def test_both_commands_default_to_one_window_centred_on_the_optimum(self, tmp_path):
+        # no landscape key: 41 x 41 points within 1 of K*
+        doc = {"problem": {"generator": "pendulum"}, "methods": [],
+               "emit": {"trace_csv": False, "landscape_grid": True, "summary": False}}
+        path = write_config(tmp_path, doc)
+        for command, out in (("landscape", "a"), ("experiment", "b")):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 0
+        text = (tmp_path / "a" / "landscape.csv").read_bytes()
+        assert (tmp_path / "b" / "landscape.csv").read_bytes() == text
+        rows = [[float(x) for x in line.split(",")[:2]]
+                for line in text.decode().splitlines()[1:]]
+        assert len(rows) == 41 * 41
+        k_star = optimal_gain(make_pendulum())[0].theta
+        assert rows[0] == pytest.approx(k_star - 1.0, abs=1e-12)
+        assert rows[len(rows) // 2] == pytest.approx(k_star, abs=1e-12)
+        assert rows[-1] == pytest.approx(k_star + 1.0, abs=1e-12)
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": {"generator": "nonesuch"}})
         malformed = tmp_path / "malformed.json"
@@ -396,6 +426,16 @@ class TestCli:
             assert cli.main(argv) == 1
             err = capsys.readouterr().err
             assert err == f"config error: problem: {field} has non-finite entries\n"
+
+    def test_an_asymmetric_matrix_whose_norm_overflows_is_a_config_error(
+            self, tmp_path, capsys):
+        # 1 + ||Q||_F and ||Q - Q'||_F are both inf
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        problem = {"A": eye, "B": [[0.0], [1.0]], "Q": [[1.0, 1e200], [-1e200, 1.0]],
+                   "R": [[1.0]], "gamma": 0.9, "Sigma_w": eye, "Sigma_0": eye}
+        path = write_config(tmp_path, {"problem": problem})
+        assert cli.main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: problem: Q must be symmetric\n"
 
     def test_an_overflowing_trial_gain_ends_the_run_without_a_traceback(
             self, tmp_path, capsys):

@@ -37,8 +37,14 @@ class TestProblemValidation:
             simple_problem(R=np.diag([1.0, 0.0]))
 
     def test_rejects_asymmetric_Q(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            simple_problem(Q=np.array([[1.0, 0.5], [0.0, 1.0]]))
+        # the last two have a Frobenius norm that overflows; the relative
+        # asymmetry of the last is 2.8e-8
+        asymmetric = ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 1e200], [-1e200, 1.0]],
+                      [[1e300, 1e292], [-1e292, 1.0]])
+        for field in ("Q", "R", "Sigma_w", "Sigma_0"):
+            for a in asymmetric:
+                with pytest.raises(ValueError, match=f"{field} must be symmetric"):
+                    simple_problem(**{field: np.array(a)})
 
     def test_rejects_bad_gamma(self):
         for g in (0.0, 1.0, -0.1, 1.5):
@@ -50,6 +56,12 @@ class TestProblemValidation:
             simple_problem(B=np.ones((3, 1)))
         with pytest.raises(ValueError):
             simple_problem(Sigma_w=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="A must be a matrix, got ndim=3"):
+            simple_problem(A=np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="A must be square"):
+            simple_problem(A=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="Q must be 2x2"):
+            simple_problem(Q=np.eye(3))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

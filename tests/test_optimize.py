@@ -10,10 +10,10 @@ from lqrnewton import (Evaluation, Gain, LqrProblem, OptimizerConfig,
                        make_pendulum, make_shear_building, optimal_gain,
                        performance, policy_gradient, run, search_direction,
                        solve_sigma, solve_value)
-from lqrnewton.errors import (DirectionError, LineSearchFailure, NoConvergence,
-                              NotStabilizing, SeedNotStabilizing)
+from lqrnewton.errors import (DirectionError, NoConvergence, NotStabilizing,
+                              SeedNotStabilizing)
 from lqrnewton.linalg import vec
-from lqrnewton.optimize import _backtrack, _initial_step, _trial
+from lqrnewton.optimize import _initial_step, _step
 
 from conftest import (GRAD_05, HEXACT_05, count_calls, make_instances,
                       multi_actuator_building, rel_err, stack_slices)
@@ -196,7 +196,8 @@ class TestBacktracking:
         ev = Evaluation(scalar_prob, scalar_gain)
         d = search_direction("newton", ev)
         J0 = performance(scalar_prob, scalar_gain)
-        alpha, trial, _ = _backtrack(scalar_prob, scalar_gain, d, J0, ev.grad, cfg, cfg.alpha)
+        alpha, trial, _ = _step(scalar_prob, scalar_gain.theta, d, J0, float(ev.grad @ d),
+                                cfg, cfg.alpha)
         assert alpha == 1.0
         assert performance(scalar_prob, trial.gain) < J0
 
@@ -207,34 +208,20 @@ class TestBacktracking:
         assert float(d @ grad) < 0
         J0 = performance(scalar_prob, scalar_gain)
         cfg = OptimizerConfig(method="first_order", alpha=1.0)
-        alpha, trial, _ = _backtrack(scalar_prob, scalar_gain, d, J0, grad, cfg, cfg.alpha)
+        alpha, trial, _ = _step(scalar_prob, scalar_gain.theta, d, J0, float(grad @ d),
+                                cfg, cfg.alpha)
         assert alpha < 1.0
         ok, _ = is_gamma_stabilizing(scalar_prob, trial.gain)
         assert ok
         assert performance(scalar_prob, trial.gain) <= J0
-
-    def test_zero_direction_returns_input(self, scalar_prob, scalar_gain):
-        cfg = OptimizerConfig()
-        J0 = performance(scalar_prob, scalar_gain)
-        alpha, trial, j = _backtrack(scalar_prob, scalar_gain, np.zeros(1), J0,
-                                     np.zeros(1), cfg, cfg.alpha)
-        assert alpha == cfg.alpha and j == 0
-        assert trial.gain is scalar_gain
 
     def test_failure_after_budget(self, scalar_prob, scalar_gain):
         grad = policy_gradient(scalar_prob, scalar_gain)
         d = np.array([1000.0])
         J0 = performance(scalar_prob, scalar_gain)
         cfg = OptimizerConfig(max_backtracks=0)
-        with pytest.raises(LineSearchFailure):
-            _backtrack(scalar_prob, scalar_gain, d, J0, grad, cfg, cfg.alpha)
-
-    def test_ascent_direction_rejected(self, scalar_prob, scalar_gain):
-        grad = policy_gradient(scalar_prob, scalar_gain)
-        J0 = performance(scalar_prob, scalar_gain)
-        cfg = OptimizerConfig()
-        with pytest.raises(DirectionError):
-            _backtrack(scalar_prob, scalar_gain, grad.copy(), J0, grad, cfg, cfg.alpha)
+        assert _step(scalar_prob, scalar_gain.theta, d, J0, float(grad @ d), cfg,
+                     cfg.alpha) is None
 
 
 class TestConfigValidation:
@@ -409,23 +396,25 @@ class TestComputeOnce:
         assert all(a.shape == (2, 2) for a, in eig)
 
 
-def _sequential_backtrack(prob, gain, direction, J0, grad, cfg, alpha0):
+def _sequential_backtrack(prob, theta0, direction, J0, slope, cfg, alpha0):
     """Reference line search: one Evaluation per trial, in order, from the
-    step alpha0."""
-    slope = float(grad @ direction)
+    step alpha0; None when the budget is exhausted."""
     alpha = alpha0
     for j in range(cfg.max_backtracks + 1):
-        trial = Evaluation(prob, Gain.from_theta(gain.theta + alpha * direction,
+        trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
                                                  prob.m, prob.n))
         if trial.stabilizing and trial.J <= J0 + cfg.c_armijo * alpha * slope:
             return alpha, trial, j
         alpha *= cfg.shrink
-    raise LineSearchFailure("reference search exhausted")
+    return None
 
 
 def _search_start(prob, method):
+    """An iterate, its direction, and the arguments of a search from it:
+    (prob, theta0, direction, J0, slope)."""
     ev = Evaluation(prob, initial_gain(prob))
-    return ev, search_direction(method, ev)
+    d = search_direction(method, ev)
+    return ev, d, (prob, ev.gain.theta, d, ev.J, float(ev.grad @ d))
 
 
 class TestLadder:
@@ -459,40 +448,35 @@ class TestLadder:
     @pytest.mark.parametrize("start", [0, 1, 3, 60])
     def test_matches_trial_by_trial_search(self, plants, plant, method, start):
         prob = plants[plant]
-        ev, d = _search_start(prob, method)
+        ev, d, args = _search_start(prob, method)
         cfg = OptimizerConfig(method=method, alpha=1.0)
         alpha0 = cfg.shrink ** start
-        want = _sequential_backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, alpha0)
+        want = _sequential_backtrack(*args, cfg, alpha0)
         if plant == "pendulum" and start == 0:
             # the full first-order step leaves the stabilizing set
             assert want[2] >= 3
             assert not Evaluation(prob, Gain.from_theta(ev.gain.theta + d, 1, 2)).stabilizing
         if start == 60:
             assert want[2] == 0
-        got = _backtrack(prob, ev.gain, d, ev.J, ev.grad, cfg, alpha0)
+        got = _step(*args, cfg, alpha0)
         self.assert_same(got, want)
 
     @pytest.mark.parametrize("start", [0, 1, 3, 60])
     def test_budget_and_failure(self, plants, start):
-        prob = plants["pendulum"]
-        ev, d = _search_start(prob, "first_order")
-        args = (prob, ev.gain, d, ev.J, ev.grad)
+        _, _, args = _search_start(plants["pendulum"], "first_order")
         alpha0 = 0.5 ** start
         alpha, _, depth = _sequential_backtrack(*args, OptimizerConfig(), alpha0)
         # the budget counts shrinks from the first step the search is given
         for cfg, first in ((OptimizerConfig(max_backtracks=depth), alpha0),
                            (OptimizerConfig(max_backtracks=0), alpha)):
-            self.assert_same(_backtrack(*args, cfg, first),
+            self.assert_same(_step(*args, cfg, first),
                              _sequential_backtrack(*args, cfg, first))
         for max_backtracks in (0, depth - 1) if depth else ():
             cfg = OptimizerConfig(max_backtracks=max_backtracks)
-            with pytest.raises(LineSearchFailure):
-                _backtrack(*args, cfg, alpha0)
+            assert _step(*args, cfg, alpha0) is None
 
     def test_non_finite_trial_gain_is_refused(self, plants):
-        prob = plants["pendulum"]
-        ev, d = _search_start(prob, "first_order")
-        args = (prob, ev.gain, d, ev.J, ev.grad)
+        ev, d, args = _search_start(plants["pendulum"], "first_order")
         cfg = OptimizerConfig(alpha=1e308, shrink=1e-3, max_backtracks=200)
         # the first trials overflow; j0 is the first finite one
         j0, alpha = 0, cfg.alpha
@@ -503,17 +487,17 @@ class TestLadder:
         # the search refuses the overflowing trials, with no warning, and
         # then accepts what a search from trial j0 accepts
         a, trial, j = _sequential_backtrack(*args, cfg, alpha)
-        self.assert_same(_backtrack(*args, cfg, cfg.alpha), (a, trial, j0 + j))
-        with pytest.raises(LineSearchFailure):
-            _backtrack(*args, replace(cfg, max_backtracks=j0 - 1), cfg.alpha)
+        self.assert_same(_step(*args, cfg, cfg.alpha), (a, trial, j0 + j))
+        assert _step(*args, replace(cfg, max_backtracks=j0 - 1), cfg.alpha) is None
 
     def test_trials_refuse_a_non_finite_trial_without_raising(self, plants):
         prob = plants["pendulum"]
-        ev, d = _search_start(prob, "first_order")
+        ev, d, args = _search_start(prob, "first_order")
+        fixed = OptimizerConfig(step_mode="fixed")
         # the first trial gain overflows, the second's closed loop is huge
-        assert _trial(prob, ev.gain.theta, 1e308, d) is None
-        assert _trial(prob, ev.gain.theta, 1e300, d) is None
-        trial = _trial(prob, ev.gain.theta, 1e-9, d)
+        assert _step(*args, fixed, 1e308) is None
+        assert _step(*args, fixed, 1e300) is None
+        _, trial, _ = _step(*args, fixed, 1e-9)
         assert trial.J == Evaluation(prob, Gain.from_theta(ev.gain.theta + 1e-9 * d, 1, 2)).J
 
     @pytest.mark.parametrize("mode, flag", [("fixed", "left_stabilizing_set"),
@@ -664,8 +648,8 @@ class TestCertifiedStability:
                         start = Evaluation(prob, Gain(1.1 * k_star.K))
                         d = -start.gain.theta
                         assert float(start.grad @ d) < 0.0
-                        alpha, trial, _ = _backtrack(prob, start.gain, d, start.J,
-                                                     start.grad, OptimizerConfig(), 1.0)
+                        alpha, trial, _ = _step(prob, start.gain.theta, d, start.J,
+                                                float(start.grad @ d), OptimizerConfig(), 1.0)
                         assert 0.0 < alpha < 1.0
                         assert Evaluation(prob, trial.gain).stabilizing
                         rec = run(prob, OptimizerConfig(step_mode="fixed",
