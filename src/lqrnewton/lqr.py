@@ -259,8 +259,10 @@ class SteinOperator:
         self.G, self.gamma = G, gamma
         n = G.shape[-1]
         if n <= _DIRECT_SOLVE_MAX_DIM:
-            # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l]
-            T = (G[:, None, :, None] * G[None, :, None, :]).reshape(n * n, n * n)
+            # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l];
+            # an entry that overflows is refused below, not warned
+            with np.errstate(over="ignore"):
+                T = (G[:, None, :, None] * G[None, :, None, :]).reshape(n * n, n * n)
             T *= -gamma
             T.flat[::n * n + 1] += 1.0
             self._lu, self._piv, info = _getrf(T, overwrite_a=True)
@@ -453,7 +455,14 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
         H_{k+1} = H_k + A_k' H_k W^-1 A_k
 
     so that H_k converges quadratically to P*, with no stabilizing starting
-    gain. The iteration stops once ||H_{k+1} - H_k||_F <= tol (1 + ||H_{k+1}||_F).
+    gain. Each step inverts W once and forms W^-1 A_k and W^-1 G_k by two
+    products. The inverse is numpy's, which factors W by the gesv that
+    ``np.linalg.solve`` runs, so a step is found singular as a solve finds
+    it. scipy's getrf/getri is faster but rounds the pivots differently:
+    whether it finds the singular step of a plant with an entry of 2^63
+    turns on how the step's products are grouped, where numpy's inverse
+    finds it under every grouping tried. The iteration stops once
+    ||H_{k+1} - H_k||_F <= tol (1 + ||H_{k+1}||_F).
     The gain formed from that H is checked and its value P solved; one
     Hewer step, K* = (R + g B'PB)^-1 g B'PA, then brings K* to policy
     iteration's accuracy, and the value returned is solved at K* itself.
@@ -471,19 +480,20 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     A = np.sqrt(g) * prob.A
     G = g * prob.B @ _solve(prob.R, prob.B.T)
     H = prob.Q
+    eye = np.eye(n)
     # an unstabilizable plant overflows; that is caught below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            # numpy's solve, not _solve: scipy's gesv rounds differently
-            # from 6 unknowns up and would move the last bits of K*
+            # numpy's inverse, not scipy's getri: see the docstring
             try:
-                V = np.linalg.solve(np.eye(n) + G @ H, np.hstack((A, G)))
+                W_inv = np.linalg.inv(eye + G @ H)
             except np.linalg.LinAlgError:
                 raise NoConvergence("Riccati doubling met a singular system I + G H; "
                                     "the plant's scale defeats it") from None
-            G = G + A @ V[:, n:] @ A.T
-            H_next = H + A.T @ H @ V[:, :n]
-            A = A @ V[:, :n]
+            WA = W_inv @ A
+            G = G + A @ (W_inv @ G @ A.T)
+            H_next = H + A.T @ H @ WA
+            A = A @ WA
             G, H_next = (G + G.T) / 2.0, (H_next + H_next.T) / 2.0
             step, H = np.linalg.norm(H_next - H, "fro"), H_next
             size = np.linalg.norm(H, "fro")

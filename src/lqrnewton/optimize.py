@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+# lqr imports scipy's LAPACK module already, so this loads nothing new
+from scipy.linalg.lapack import dtrtri as _trtri
 
 from .errors import DirectionError, NoConvergence, SeedNotStabilizing
 from .lqr import Gain, LqrProblem, optimal_gain
@@ -138,13 +140,14 @@ def _newton_cg(ev: Evaluation) -> np.ndarray:
     by preconditioned CG on ``ev.hvp``.
 
     The preconditioner M^-1 is the inverse Gauss-Newton map
-    r -> vec(E^-1 R Sigma^-1) / 2, with Sigma's Cholesky factor computed
-    once, or r -> vec(E^-1 R) / 2 where Sigma has none. CG stops when the
-    residual falls to eta * ||grad|| (inexact Newton), after m*n
-    iterations, or at the first direction p with p'Hp <= 0: at the first
-    iteration it then returns Hewer's step -vec(E^-1 S), later the iterate
-    it has reached, which is a descent direction since every curvature
-    before was positive.
+    r -> vec(E^-1 R Sigma^-1) / 2, with Sigma's Cholesky factor L computed
+    once and inverted by LAPACK's triangular trtri (Sigma^-1 = L^-T L^-1),
+    or r -> vec(E^-1 R) / 2 where Sigma has none or trtri finds L
+    singular. CG stops when the residual falls to eta * ||grad|| (inexact
+    Newton), after m*n iterations, or at the first direction p with
+    p'Hp <= 0: at the first iteration it then returns Hewer's step
+    -vec(E^-1 S), later the iterate it has reached, which is a descent
+    direction since every curvature before was positive.
 
     The forcing term is eta = max(min(0.1, sqrt(grad' M^-1 grad / J)),
     _CG_RTOL). The Gauss-Newton decrement grad' M^-1 grad is CG's first
@@ -156,10 +159,10 @@ def _newton_cg(ev: Evaluation) -> np.ndarray:
     g, m, n = ev.grad, ev.prob.m, ev.prob.n
     E_inv = np.linalg.inv(ev.E) / 2.0
     try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(ev.Sigma))
-        Sigma_inv = L_inv.T @ L_inv
+        L_inv, info = _trtri(np.linalg.cholesky(ev.Sigma), lower=1)
     except np.linalg.LinAlgError:
-        Sigma_inv = np.eye(n)
+        info = 1
+    Sigma_inv = L_inv.T @ L_inv if info == 0 else np.eye(n)
 
     def precondition(r):
         # r.reshape(n, m) is R'; the row-major ravel of (E^-1 R Sigma^-1)'

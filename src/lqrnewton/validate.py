@@ -2,7 +2,8 @@
 
 Each check pits a closed-form computation against an independent oracle
 (scalar closed forms, finite differences, the term-by-term moment series,
-the columnwise Lambda assembly, the dense Hessian, or Monte Carlo rollouts)
+the columnwise Lambda assembly, the dense Hessian, scipy's Riccati solver,
+or Monte Carlo rollouts)
 on deterministic fixtures, and reports pass/fail with the observed error.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from .lqr import (Gain, LqrProblem, is_gamma_stabilizing, optimal_gain,
                   performance, solve_sigma)
@@ -179,6 +181,23 @@ def check_optimum_identities(seeds=range(2), tol: float = 1e-8) -> CheckResult:
                        f"grad norm {worst_grad:.3e}, rel Lambda {worst_lam:.3e}")
 
 
+def check_riccati(seeds=range(2), tol: float = 1e-12) -> CheckResult:
+    """optimal_gain's K* and P against scipy's Riccati solver (a Schur
+    method, independent of the doubling and the Hewer finish)."""
+    probs = [make_pendulum(), make_shear_building(floors=24, seed=0)]
+    probs += [random_stabilizing_instance(seed, m=2)[0] for seed in seeds]
+    worst = 0.0
+    for prob in probs:
+        g = prob.gamma
+        P = solve_discrete_are(np.sqrt(g) * prob.A, np.sqrt(g) * prob.B, prob.Q, prob.R)
+        K = np.linalg.solve(prob.R + g * prob.B.T @ P @ prob.B, g * prob.B.T @ P @ prob.A)
+        k_star, value = optimal_gain(prob)
+        for got, want in ((k_star.K, K), (value.P, P)):
+            worst = max(worst, _rel(np.linalg.norm(got - want), np.linalg.norm(want)))
+    return CheckResult("Riccati solver vs scipy's DARE", worst <= tol,
+                       f"max rel err {worst:.3e} (tol {tol:.0e})")
+
+
 def check_monte_carlo(samples: int = 2000, seed: int = 0) -> CheckResult:
     prob = make_pendulum()
     gain = initial_gain(prob)
@@ -192,7 +211,7 @@ def check_monte_carlo(samples: int = 2000, seed: int = 0) -> CheckResult:
 
 ALL_CHECKS = (check_scalar_grid, check_fd_gradient, check_fd_hessian, check_hvp,
               check_lambda_paths, check_moment_series,
-              check_optimum_identities, check_monte_carlo)
+              check_optimum_identities, check_riccati, check_monte_carlo)
 
 
 def run_all() -> list[CheckResult]:

@@ -12,8 +12,8 @@ from lqrnewton import (Evaluation, Gain, LqrProblem, closed_loop,
 from lqrnewton.errors import NoConvergence, NotStabilizing
 from lqrnewton.oracles import scalar_reference
 
-from conftest import (P_05, SCALAR, SIGMA_05, count_calls, make_instances, rel_err,
-                      scalar_problem)
+from conftest import (P_05, SCALAR, SIGMA_05, count_calls, make_instances,
+                      multi_actuator_building, rel_err, scalar_problem)
 
 
 def simple_problem(**over):
@@ -284,12 +284,11 @@ class TestSolveValue:
         p = LqrProblem(A=A, B=[[0.0], [1.0]], Q=np.eye(2), R=[[1.0]], gamma=0.9,
                        Sigma_w=np.eye(2), Sigma_0=np.eye(2))
         gain = Gain.zero(p)
-        with np.errstate(over="ignore"):
-            ev = Evaluation(p, gain)
-            assert ev.margin > 0.0 and not ev.stabilizing
-            for solve in (solve_value, solve_sigma, performance):
-                with pytest.raises(NotStabilizing, match="cannot be formed"):
-                    solve(p, gain)
+        ev = Evaluation(p, gain)
+        assert ev.margin > 0.0 and not ev.stabilizing
+        for solve in (solve_value, solve_sigma, performance):
+            with pytest.raises(NotStabilizing, match="cannot be formed"):
+                solve(p, gain)
 
     @pytest.mark.parametrize("n", [3, 25])
     def test_residual_and_symmetry(self, n):
@@ -663,6 +662,13 @@ def _random_plant():
                       Sigma_0=np.eye(3))
 
 
+def _scale_states(p, scales):
+    # the same problem in the states D s, D = diag(scales): K becomes K D^-1
+    D, D_inv = np.diag(scales), np.diag(1.0 / np.asarray(scales))
+    return LqrProblem(A=D @ p.A @ D_inv, B=D @ p.B, Q=D_inv @ p.Q @ D_inv, R=p.R,
+                      gamma=p.gamma, Sigma_w=D @ p.Sigma_w @ D, Sigma_0=D @ p.Sigma_0 @ D)
+
+
 class TestOptimalGain:
     def test_no_actuation_stable(self):
         p = LqrProblem(A=0.5 * np.eye(2), B=np.zeros((2, 1)), Q=np.eye(2),
@@ -719,11 +725,24 @@ class TestOptimalGain:
             with pytest.raises(NoConvergence, match=match):
                 optimal_gain(p, max_iter=50)
 
-    @pytest.mark.parametrize("plant", ["pendulum", "building24", "random3"])
+    @pytest.mark.parametrize("plant", ["pendulum", "building3", "building5", "building10",
+                                       "building24", "multi_actuator6", "random3",
+                                       "pendulum-scaled", "building5-scaled"])
     def test_matches_scipy_dare(self, plant):
+        # the 3- to 10-floor and multi-actuator plants are where the doubling
+        # step's rounding shows in K*; the state-scaled ones (a similarity
+        # transform, so the same problem) keep a refusal keyed to the
+        # conditioning of I + G H out of that step
         p = {"pendulum": make_pendulum,
+             "building3": lambda: make_shear_building(floors=3, seed=0),
+             "building5": lambda: make_shear_building(floors=5, seed=0),
+             "building10": lambda: make_shear_building(floors=10, seed=0),
              "building24": lambda: make_shear_building(floors=24, seed=0),
-             "random3": _random_plant}[plant]()
+             "multi_actuator6": lambda: multi_actuator_building(6),
+             "random3": _random_plant,
+             "pendulum-scaled": lambda: _scale_states(make_pendulum(), [1.0, 1e8]),
+             "building5-scaled": lambda: _scale_states(make_shear_building(floors=5, seed=0),
+                                                       [1.0] * 5 + [1e4] * 5)}[plant]()
         g = p.gamma
         P = scipy.linalg.solve_discrete_are(np.sqrt(g) * p.A, np.sqrt(g) * p.B, p.Q, p.R)
         K = np.linalg.solve(p.R + g * p.B.T @ P @ p.B, g * p.B.T @ P @ p.A)

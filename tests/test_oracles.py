@@ -8,6 +8,7 @@ import pytest
 
 import lqrnewton
 
+from lqrnewton import validate
 from lqrnewton import (Gain, LqrProblem, jacobian_vecP, lambda_term,
                        make_pendulum, initial_gain, optimal_gain, performance,
                        solve_sigma)
@@ -188,6 +189,18 @@ class TestMonteCarlo:
     def test_rejects_unstable_gain(self, scalar_prob):
         with pytest.raises(NotStabilizing):
             monte_carlo_J(scalar_prob, Gain([[-9.0]]), samples=10)
+
+
+class TestRiccatiCheck:
+    def test_passes_and_catches_a_gain_off_in_its_tenth_digit(self, monkeypatch):
+        assert validate.check_riccati().passed
+
+        def off(prob, **kw):
+            k_star, value = optimal_gain(prob, **kw)
+            return Gain(k_star.K * (1.0 + 1e-10)), value
+
+        monkeypatch.setattr(validate, "optimal_gain", off)
+        assert not validate.check_riccati().passed
 
 
 def test_import_does_not_load_scipy_special():

@@ -6,7 +6,7 @@ Usage, from the root of a source checkout:
     python3 tools/parity.py OTHER_ROOT # another checkout, e.g. a parent commit
 
 Prints the code lines of each module of ``src/lqrnewton`` (lines that hold
-code: no docstrings, comments or blank lines), then three SHA-256 digests
+code: no docstrings, comments or blank lines), then four SHA-256 digests
 of what the library computes:
 
 - ``criterion10``: the files of the criterion-10 pendulum experiment
@@ -15,7 +15,12 @@ of what the library computes:
   benchmark tasks;
 - ``buildings``: every field of the seed-1 ``RunRecord`` of each case of
   the three building workloads (each iterate's row, every gain, the final
-  gain, ``k_star``, ``converged`` and ``flag``).
+  gain, ``k_star``, ``converged`` and ``flag``);
+- ``riccati``: the bytes of ``K*`` and ``P`` from ``optimal_gain`` on the
+  pendulum and on the 32 buildings of 3, 5, 10 and 24 floors, seeds 0-7,
+  printed with the largest relative gap of those ``K*`` to scipy's DARE
+  gain, so that a change which moves only ``K*``'s last bits can be told
+  from one that moves optimizer paths, and its accuracy read beside it.
 
 Two checkouts that compute the same numbers print the same digests. The
 library, ``lqrbench/workloads.py`` and ``tests/conftest.py`` are imported
@@ -42,6 +47,8 @@ SEED = 1
 PENDULUM_TASKS = 64
 BUILDING_WORKLOADS = ("building20_first_order", "building48_first_order",
                       "building48_newton")
+RICCATI_FLOORS = (3, 5, 10, 24)
+RICCATI_SEEDS = range(8)
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -107,6 +114,20 @@ def buildings_digest(np, workloads) -> str:
     return h.hexdigest()
 
 
+def riccati_digest(workloads, lqrnewton) -> tuple[str, float]:
+    """Digest of optimal_gain's K* and P, and the largest relative gap of
+    K* to scipy's DARE gain, over the pendulum and the buildings."""
+    probs = [lqrnewton.make_pendulum()]
+    probs += [lqrnewton.make_shear_building(floors=f, seed=s)
+              for f in RICCATI_FLOORS for s in RICCATI_SEEDS]
+    h, gap = hashlib.sha256(), 0.0
+    for p in probs:
+        k_star, value = lqrnewton.optimal_gain(p)
+        h.update(k_star.K.tobytes() + value.P.tobytes())
+        gap = max(gap, workloads.rel_err(k_star.K, workloads.dare_reference(p)[0]))
+    return h.hexdigest(), gap
+
+
 def main(argv) -> int:
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent)
     package = root / "src" / "lqrnewton"
@@ -117,6 +138,7 @@ def main(argv) -> int:
     import numpy as np
     import workloads
     from conftest import CRITERION_10_DOC
+    import lqrnewton
     from lqrnewton import experiment
 
     print("code lines of src/lqrnewton (no docstrings, comments or blanks)")
@@ -129,6 +151,8 @@ def main(argv) -> int:
     print(f"sha256 criterion10 {criterion10_digest(experiment, CRITERION_10_DOC)}")
     print(f"sha256 pendulum64  {pendulum_digest(np, workloads)}")
     print(f"sha256 buildings   {buildings_digest(np, workloads)}")
+    digest, gap = riccati_digest(workloads, lqrnewton)
+    print(f"sha256 riccati     {digest}  (largest K* gap to scipy's DARE {gap:.2g})")
     return 0
 
 
