@@ -33,9 +33,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 # LAPACK's routines are called directly: at n = 2 numpy.linalg's wrappers
-# cost several times the routine they call (see README, Numerical notes)
+# cost several times the routine they call, and dtrtri (optimize's
+# preconditioner) inverts a triangular factor without an LU (see README,
+# Numerical notes)
 from scipy.linalg.lapack import (dgeev as _geev, dgesv as _gesv, dgetrf as _getrf,
-                                 dgetrs as _getrs)
+                                 dgetrs as _getrs, dtrtri as _trtri)
 
 from .errors import NoConvergence, NotStabilizing
 from .linalg import unvec, vec

@@ -33,11 +33,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-# lqr imports scipy's LAPACK module already, so this loads nothing new
-from scipy.linalg.lapack import dtrtri as _trtri
 
 from .errors import DirectionError, NoConvergence, SeedNotStabilizing
-from .lqr import Gain, LqrProblem, optimal_gain
+from .lqr import Gain, LqrProblem, _trtri, optimal_gain
 from .derivatives import Evaluation
 from .linalg import vec
 

@@ -181,11 +181,11 @@ def check_optimum_identities(seeds=range(2), tol: float = 1e-8) -> CheckResult:
                        f"grad norm {worst_grad:.3e}, rel Lambda {worst_lam:.3e}")
 
 
-def check_riccati(seeds=range(2), tol: float = 1e-12) -> CheckResult:
+def check_riccati() -> CheckResult:
     """optimal_gain's K* and P against scipy's Riccati solver (a Schur
     method, independent of the doubling and the Hewer finish)."""
     probs = [make_pendulum(), make_shear_building(floors=24, seed=0)]
-    probs += [random_stabilizing_instance(seed, m=2)[0] for seed in seeds]
+    probs += [random_stabilizing_instance(seed, m=2)[0] for seed in (0, 1)]
     worst = 0.0
     for prob in probs:
         g = prob.gamma
@@ -194,8 +194,8 @@ def check_riccati(seeds=range(2), tol: float = 1e-12) -> CheckResult:
         k_star, value = optimal_gain(prob)
         for got, want in ((k_star.K, K), (value.P, P)):
             worst = max(worst, _rel(np.linalg.norm(got - want), np.linalg.norm(want)))
-    return CheckResult("Riccati solver vs scipy's DARE", worst <= tol,
-                       f"max rel err {worst:.3e} (tol {tol:.0e})")
+    return CheckResult("Riccati solver vs scipy's DARE", worst <= 1e-12,
+                       f"max rel err {worst:.3e} (tol 1e-12)")
 
 
 def check_monte_carlo(samples: int = 2000, seed: int = 0) -> CheckResult:
