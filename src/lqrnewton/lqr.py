@@ -262,9 +262,9 @@ class SteinOperator:
         n = G.shape[-1]
         if n <= _DIRECT_SOLVE_MAX_DIM:
             # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l];
-            # an entry that overflows is refused below, not warned
-            with np.errstate(over="ignore"):
-                T = (G[:, None, :, None] * G[None, :, None, :]).reshape(n * n, n * n)
+            # einsum sets no floating-point warning, so an entry that
+            # overflows is refused below, not warned, at no errstate's cost
+            T = np.einsum("ij,kl->ikjl", G, G).reshape(n * n, n * n)
             T *= -gamma
             T.flat[::n * n + 1] += 1.0
             self._lu, self._piv, info = _getrf(T, overwrite_a=True)
