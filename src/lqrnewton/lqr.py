@@ -28,6 +28,7 @@ All functions are pure, and a SteinOperator is not modified by its solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -246,7 +247,11 @@ class SteinOperator:
     with ||F^(2^L)||_F^2 <= 2^-52, and every solve, in G or in G' (the
     powers read transposed), sums exactly the L levels
     X + F X F' + F^2 X F^2' + ... . The tail left out is F^(2^L) X F^(2^L)',
-    at most 2^-52 ||X||_F whatever the scale of M.
+    at most 2^-52 ||X||_F whatever the scale of M. A solve copies M once
+    and adds each level into that copy in place: two products per level
+    and the two of the residual gate below, 2L + 2 in all (twice that with
+    the correction pass). The gate reads gamma * G, which the operator
+    keeps on both branches.
     L is kept as ``depth`` (None on the Kronecker branch); since
     rho(F)^(2^L) <= ||F^(2^L)||_F, it bounds rho(F) <= 2^(-26 / 2^L) < 1.
     NoConvergence is raised when the Kronecker system is singular or
@@ -258,7 +263,8 @@ class SteinOperator:
     """
 
     def __init__(self, G: np.ndarray, gamma: float):
-        self.G, self.gamma = G, gamma
+        # gamma * G is kept for the residual, which every solve forms
+        self.G, self._gG = G, gamma * G
         n = G.shape[-1]
         if n <= _DIRECT_SOLVE_MAX_DIM:
             # I - gamma * G (x) G, entry (i*n + k, j*n + l) = G[i, j] * G[k, l];
@@ -279,19 +285,19 @@ class SteinOperator:
 
     def solve(self, M: np.ndarray, transpose: bool = False) -> np.ndarray:
         """X = M + gamma * G X G', or X = M + gamma * G' X G with ``transpose``."""
-        gamma = self.gamma
-        G = self.G.T if transpose else self.G
-        Gt = G.T
+        # gamma * G @ X @ G' groups as (gamma G) X G', so the kept gamma G
+        # gives the same bits
+        gG, Gt = (self._gG.T, self.G) if transpose else (self._gG, self.G.T)
         if self.depth is None:
             X = self._lu_solve(M, transpose)
             # one refinement pass keeps the residual near round-off
-            X = X + self._lu_solve(M + gamma * G @ X @ Gt - X, transpose)
+            X = X + self._lu_solve(M + gG @ X @ Gt - X, transpose)
             return (X + X.swapaxes(-1, -2)) / 2.0
         X = self._doubling(M, transpose)
-        R = M + gamma * G @ X @ Gt - X
+        R = M + gG @ X @ Gt - X
         if not _within_bound(R, X):
             X = X + self._doubling(R, transpose)
-            if not _within_bound(M + gamma * G @ X @ Gt - X, X):
+            if not _within_bound(M + gG @ X @ Gt - X, X):
                 raise NoConvergence(
                     "discounted Lyapunov doubling missed its residual bound; the "
                     "closed loop is too close to the stabilizing boundary")
@@ -304,13 +310,20 @@ class SteinOperator:
         X = _getrs(self._lu, self._piv, rhs.T.reshape(n * n, -1), trans=int(transpose))[0]
         return X.reshape(rhs.T.shape).T
 
-    def _doubling(self, X: np.ndarray, transpose: bool) -> np.ndarray:
-        """Sum X + F X F' + F^2 X F^2' + ... over the operator's powers
-        (F = sqrt(gamma) G, or its transpose), symmetrized."""
+    def _doubling(self, M: np.ndarray, transpose: bool) -> np.ndarray:
+        """Sum M + F M F' + F^2 M F^2' + ... over the operator's powers
+        (F = sqrt(gamma) G, or its transpose), symmetrized. Each level adds
+        into one copy of M, which is left as it was."""
+        X = M.astype(float)
         for F in self._powers:
             if transpose:
                 F = F.T
-            X = X + F @ X @ F.T
+            # FX lives until the next level's replaces it: with both
+            # temporaries freed at once, glibc hands a large stack's pages
+            # back and each level faults them in again (a (48, 48, 48)
+            # stack: 3600 page faults and 12 ms a solve, against 400 and 6)
+            FX = F @ X
+            X += FX @ F.T
         return (X + X.swapaxes(-1, -2)) / 2.0
 
 
@@ -324,8 +337,8 @@ def _doubling_powers(F: np.ndarray) -> list[np.ndarray]:
     # a power that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
-            sq = _sq_norm(F)
-            if not np.isfinite(sq):
+            sq = float(_sq_norm(F))
+            if not math.isfinite(sq):
                 break
             if sq <= 2.0 ** -52:
                 return powers
@@ -384,6 +397,11 @@ def _sq_norm(X: np.ndarray) -> np.ndarray:
 
 def _within_bound(R: np.ndarray, X: np.ndarray) -> bool:
     # an X whose squared norm overflows would pass as inf <= inf
+    if X.ndim == 2:
+        # one slice is decided on floats: the same test, without 0-d arrays
+        sq = float(_sq_norm(X))
+        return (math.isfinite(sq)
+                and math.sqrt(_sq_norm(R)) <= _RESID_TOL * (1.0 + math.sqrt(sq)))
     sq = _sq_norm(X)
     bound = _RESID_TOL * (1.0 + np.sqrt(sq))
     return bool((np.isfinite(sq) & (np.sqrt(_sq_norm(R)) <= bound)).all())
@@ -497,10 +515,12 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
             H_next = H + A.T @ H @ WA
             A = A @ WA
             G, H_next = (G + G.T) / 2.0, (H_next + H_next.T) / 2.0
-            step, H = np.linalg.norm(H_next - H, "fro"), H_next
-            size = np.linalg.norm(H, "fro")
+            # numpy's Frobenius norm, sqrt(x @ x) over the ravel, without
+            # its wrapper
+            d, h = (H_next - H).ravel(), H_next.ravel()
+            step, size, H = math.sqrt(d @ d), math.sqrt(h @ h), H_next
             # a norm that overflows must not pass the test below as inf <= inf
-            if not (np.isfinite(step + size) and np.isfinite(A).all()
+            if not (math.isfinite(step + size) and np.isfinite(A).all()
                     and np.isfinite(G).all()):
                 raise NoConvergence("Riccati doubling diverged; the pair (A, B) "
                                     "appears not to be gamma-stabilizable")

@@ -439,6 +439,38 @@ class TestSteinSolve:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, held(), strict=True))
         assert op.solve(M, transpose=transpose).tobytes() == X.tobytes()
 
+    @pytest.mark.parametrize("case", ["3, one slice", "3, stack", "25, one slice",
+                                      "25, stack", "corrected", "evaluation"])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_solve_leaves_its_right_hand_side_unchanged(self, case, transpose, monkeypatch):
+        # doubling accumulates its levels in place, into one copy of M
+        if case == "evaluation":
+            # P is the solve in G = Acl', Sigma the one in G'
+            prob = make_shear_building(floors=24, seed=0)
+            held = [prob.Q, prob.Sigma_0, prob.Sigma_w]
+            before = [a.copy() for a in held]
+            ev = Evaluation(prob, Gain.zero(prob))
+            ev.Sigma if transpose else ev.P
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(before, held, strict=True))
+            return
+        if case == "corrected":
+            # as in test_doubling_equals_the_allocating_loop: missed once
+            n = 25
+            G, M = _near_boundary(n, 1e-3), np.stack([np.eye(n), np.ones((n, n))])
+        else:
+            n, slices = case.split(", ")
+            n = int(n)
+            rng = np.random.default_rng(n)
+            G = rng.standard_normal((n, n))
+            G *= 0.9 / np.max(np.abs(np.linalg.eigvals(G)))
+            M = rng.standard_normal((3, n, n) if slices == "stack" else (n, n))
+            M = M + M.swapaxes(-1, -2)
+        calls = count_calls(monkeypatch, lqr.SteinOperator, "_doubling")
+        M0 = M.copy()
+        lqr.SteinOperator(G, 0.9).solve(M, transpose=transpose)
+        assert M.tobytes() == M0.tobytes()
+        assert len(calls) == {"3": 0, "25": 1, "corrected": 2}[case.split(",")[0]]
+
     def test_operator_is_factored_once(self, monkeypatch):
         rng = np.random.default_rng(2)
         G = rng.standard_normal((3, 3))

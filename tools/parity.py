@@ -22,6 +22,13 @@ of what the library computes:
   gain, so that a change which moves only ``K*``'s last bits can be told
   from one that moves optimizer paths, and its accuracy read beside it.
 
+Last come the work counts per task of two seed-1 pools, every case of
+``building48_newton`` and the first 64 ``pendulum_experiment`` tasks:
+Stein operators built, ``solve`` calls, doubling levels (summed over the
+``_doubling`` calls, correction passes included), eigenvalue solves
+(``lqr._geev``) and Hessian-vector products. They repeat exactly, so a
+change that removes work can be told from one that only makes it cheaper.
+
 Two checkouts that compute the same numbers print the same digests. The
 library, ``lqrbench/workloads.py`` and ``tests/conftest.py`` are imported
 from ROOT and used read-only; every file is written to a temporary
@@ -40,15 +47,15 @@ import tempfile
 import tokenize
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 SEED = 1
 PENDULUM_TASKS = 64
 BUILDING_WORKLOADS = ("building20_first_order", "building48_first_order",
                       "building48_newton")
 RICCATI_FLOORS = (3, 5, 10, 24)
 RICCATI_SEEDS = range(8)
+# (workload, tasks counted: None for the whole pool)
+COUNTED_WORKLOADS = (("building48_newton", None), ("pendulum_experiment", PENDULUM_TASKS))
+WORK = ("operators", "solves", "levels", "eigvals", "hvps")
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -128,18 +135,60 @@ def riccati_digest(workloads, lqrnewton) -> tuple[str, float]:
     return h.hexdigest(), gap
 
 
+def work_counts(lqr, derivatives, task) -> dict[str, int]:
+    """The work ``task()`` does, counted by the names of ``WORK``."""
+    counts = dict.fromkeys(WORK, 0)
+    counted = [(lqr.SteinOperator, "__init__", "operators"),
+               (lqr.SteinOperator, "solve", "solves"),
+               (lqr.SteinOperator, "_doubling", "levels"),
+               (lqr, "_geev", "eigvals"),
+               (derivatives.Evaluation, "hvp", "hvps")]
+    saved = [getattr(owner, name) for owner, name, _ in counted]
+
+    def counting(fn, key):
+        def call(*args, **kwargs):
+            # a doubling call runs one level per power of its operator
+            counts[key] += len(args[0]._powers) if key == "levels" else 1
+            return fn(*args, **kwargs)
+        return call
+
+    for (owner, name, key), fn in zip(counted, saved):
+        setattr(owner, name, counting(fn, key))
+    try:
+        task()
+    finally:
+        for (owner, name, _), fn in zip(counted, saved):
+            setattr(owner, name, fn)
+    return counts
+
+
+def workload_counts(np, workloads, lqr, derivatives, name: str, tasks) -> dict[str, float]:
+    """Work per task over the first ``tasks`` seed-1 cases of a workload."""
+    w = workloads.WORKLOADS[name]
+    cases = w.make_cases(np.random.default_rng(SEED), w.pool)[:tasks]
+
+    def run_all():
+        with tempfile.TemporaryDirectory() as tmp:
+            for case in cases:
+                w.task(case, Path(tmp))
+
+    return {k: v / len(cases) for k, v in work_counts(lqr, derivatives, run_all).items()}
+
+
 def main(argv) -> int:
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent)
     package = root / "src" / "lqrnewton"
     if not package.is_dir():
         print(f"no {package}", file=sys.stderr)
         return 2
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.path[:0] = [str(root / "src"), str(root / "lqrbench"), str(root / "tests")]
     import numpy as np
     import workloads
     from conftest import CRITERION_10_DOC
     import lqrnewton
-    from lqrnewton import experiment
+    from lqrnewton import derivatives, experiment, lqr
 
     print("code lines of src/lqrnewton (no docstrings, comments or blanks)")
     total = 0
@@ -153,6 +202,10 @@ def main(argv) -> int:
     print(f"sha256 buildings   {buildings_digest(np, workloads)}")
     digest, gap = riccati_digest(workloads, lqrnewton)
     print(f"sha256 riccati     {digest}  (largest K* gap to scipy's DARE {gap:.2g})")
+    print(f"{'work per task, seed 1':<22}{''.join(f'{k:>10}' for k in WORK)}")
+    for name, tasks in COUNTED_WORKLOADS:
+        counts = workload_counts(np, workloads, lqr, derivatives, name, tasks)
+        print(f"  {name:<20}{''.join(f'{v:>10.3f}' for v in counts.values())}")
     return 0
 
 
