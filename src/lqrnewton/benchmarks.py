@@ -136,15 +136,14 @@ def make_shear_building(floors: int = 24, mass: float = 1.0,
     )
 
 
-def initial_gain(prob: LqrProblem, r_inflation: float = 100.0,
-                 tol: float = 1e-10) -> Gain:
+def initial_gain(prob: LqrProblem, r_inflation: float = 100.0) -> Gain:
     """Stabilizing but suboptimal starting gain: the optimal gain of the
     same plant with the input penalty inflated by r_inflation."""
     if r_inflation <= 0:
         raise ValueError("r_inflation must be positive")
     inflated = LqrProblem(prob.A, prob.B, prob.Q, r_inflation * prob.R,
                           prob.gamma, prob.Sigma_w, prob.Sigma_0)
-    gain, _ = optimal_gain(inflated, tol=tol)
+    gain, _ = optimal_gain(inflated)
     return gain
 
 

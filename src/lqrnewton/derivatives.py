@@ -57,7 +57,7 @@ import numpy as np
 from .errors import NoConvergence, SingularT
 from .linalg import kron, vec
 from .lqr import (_DIRECT_SOLVE_MAX_DIM, Gain, LqrProblem, SteinOperator, ValueSolution,
-                  _eigvals, _not_stabilizing, _solve, closed_loop, solve_sigma,
+                  _eigvals, _not_stabilizing, _solve, _sym, closed_loop, solve_sigma,
                   solve_value)
 
 _COND_LIMIT = 1e14
@@ -198,6 +198,8 @@ class Evaluation:
     def E(self) -> np.ndarray:
         prob = self.prob
         E = prob.R + prob.gamma * prob.B.T @ self.P @ prob.B
+        # not _sym: E is m x m, and at m = 1 numpy's in-place ops on a
+        # size-1 array make _sym cost 2.6 us against 1.2 us for this
         return (E + E.T) / 2.0
 
     @cached
@@ -275,9 +277,11 @@ class Evaluation:
         # and Y are symmetric, the row-major ravel of H' below is vec(H)
         Vt = np.asarray(v, dtype=float).reshape(prob.n, prob.m)
         W = Vt @ S
-        dPV = stein.solve(W + W.T)
-        Z = prob.B @ (AS @ Vt).T
-        Y = stein.solve((Z + Z.T) / 2.0, transpose=True)
+        # W' + W from one transposed copy, as _sym forms it, with no halving
+        WW = W.T.copy()
+        WW += W
+        dPV = stein.solve(WW)
+        Y = stein.solve(_sym(prob.B @ (AS @ Vt).T), transpose=True)
         Ht = self.Sigma @ Vt @ self.E - prob.gamma * (AS.T @ dPV @ prob.B + 2.0 * Y @ S.T)
         return 2.0 * Ht.ravel()
 

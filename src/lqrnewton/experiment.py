@@ -303,12 +303,16 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     k_star, _ = optimal_gain(cfg.problem)
-    default_seed = cfg.seed_gain if cfg.seed_gain is not None else initial_gain(cfg.problem)
+    # initial_gain is a second optimal_gain; it runs only for a method
+    # that brings no seed of its own
+    default_seed = cfg.seed_gain
 
     summary: dict = {"methods": {}}
     status = 0
     for label, mcfg in zip(cfg.labels, cfg.methods):
         if mcfg.seed_gain is None:
+            if default_seed is None:
+                default_seed = initial_gain(cfg.problem)
             mcfg = replace(mcfg, seed_gain=default_seed)
         try:
             record = run(cfg.problem, mcfg, k_star=k_star)

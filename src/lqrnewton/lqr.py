@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 # LAPACK's routines are called directly: at n = 2 numpy.linalg's wrappers
@@ -42,6 +42,9 @@ from scipy.linalg.lapack import (dgeev as _geev, dgesv as _gesv, dgetrf as _getr
 
 from .errors import NoConvergence, NotStabilizing
 from .linalg import unvec, vec
+
+if TYPE_CHECKING:
+    from .derivatives import Evaluation
 
 # Above this state dimension the n^2 x n^2 Kronecker solve is replaced by
 # a squared-iteration (doubling) evaluation of the same fixed point. On a
@@ -83,7 +86,7 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
             scale, asym = np.linalg.norm(a_s, "fro"), np.linalg.norm(a_s - a_s.T, "fro")
         if asym > _SYM_TOL * scale:
             raise ValueError(f"{name} must be symmetric")
-        a = (a + a.T) / 2.0
+        a = _sym(a)
     _require_finite(a, name)
     return a
 
@@ -292,7 +295,9 @@ class SteinOperator:
             X = self._lu_solve(M, transpose)
             # one refinement pass keeps the residual near round-off
             X = X + self._lu_solve(M + gG @ X @ Gt - X, transpose)
-            return (X + X.swapaxes(-1, -2)) / 2.0
+            # X is laid out as the transpose of a C-ordered array, which
+            # _sym then copies contiguously: 1.7 against 3.1 us at n = 2
+            return _sym(X.swapaxes(-1, -2))
         X = self._doubling(M, transpose)
         R = M + gG @ X @ Gt - X
         if not _within_bound(R, X):
@@ -324,7 +329,7 @@ class SteinOperator:
             # stack: 3600 page faults and 12 ms a solve, against 400 and 6)
             FX = F @ X
             X += FX @ F.T
-        return (X + X.swapaxes(-1, -2)) / 2.0
+        return _sym(X)
 
 
 def _doubling_powers(F: np.ndarray) -> list[np.ndarray]:
@@ -389,6 +394,19 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _sym(X: np.ndarray) -> np.ndarray:
+    """(X + X') / 2 for a matrix, or for each slice of a stack, as a new
+    C-ordered array. It has the bits of ``(X + X.swapaxes(-1, -2)) / 2.0``,
+    since addition commutes and halving is exact, from one contiguous copy
+    of the transpose, added into and scaled in place: at n = 48 that is 3.0
+    against 5.4 us (2-core x86 VM), where the expression reads X strided
+    and makes two temporaries."""
+    S = X.swapaxes(-1, -2).copy()
+    S += X
+    S *= 0.5
+    return S
+
+
 def _sq_norm(X: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of a matrix, or of each slice of a stack."""
     v = X.reshape(*X.shape[:-2], -1)
@@ -431,7 +449,7 @@ def solve_value(prob: LqrProblem, gain: Gain, *,
         stein = _evaluation(prob, gain).stein
     K = gain.K
     M = prob.Q + K.T @ prob.R @ K
-    P = stein.solve((M + M.T) / 2.0)
+    P = stein.solve(_sym(M))
     q = prob.gamma / (1.0 - prob.gamma) * (P @ prob.Sigma_w).trace()
     return ValueSolution(P, float(q))
 
@@ -462,7 +480,7 @@ def performance(prob: LqrProblem, gain: Gain) -> float:
 
 
 def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
-                 max_iter: int = 200) -> tuple[Gain, ValueSolution]:
+                 max_iter: int = 200) -> tuple[Gain, Evaluation]:
     """Optimal gain K* = (R + g B'P*B)^-1 g B'P*A via the structure-preserving
     doubling algorithm (SDA) for the discrete Riccati equation.
 
@@ -485,7 +503,7 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     ||H_{k+1} - H_k||_F <= tol (1 + ||H_{k+1}||_F).
     The gain formed from that H is checked and its value P solved; one
     Hewer step, K* = (R + g B'PB)^-1 g B'PA, then brings K* to policy
-    iteration's accuracy, and the value returned is solved at K* itself.
+    iteration's accuracy.
 
     Raises NoConvergence on a non-finite iterate or a singular step, after
     max_iter steps, or when the K* found is not gamma-stabilizing (e.g.
@@ -493,8 +511,14 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     Both gains are read as :class:`~lqrnewton.derivatives.Evaluation`
     objects and checked by their rule: above n = 10 by the doubling powers
     of their operators, with no eigenvalue solve unless one is refused,
-    whose margin the error then reports. The value returned is the
-    Evaluation's at K*.
+    whose margin the error then reports.
+
+    The value returned is that Evaluation at K*, whose ``P`` and ``q`` are
+    those of :func:`solve_value` at K*, the same bits, but solved only on
+    their first read: a caller that needs only K* makes one Stein solve
+    fewer. A NoConvergence from that solve (its residual bound missed)
+    therefore surfaces at the first read of ``.P``, ``.q`` or ``.J``, not
+    in this call.
     """
     g, n = prob.gamma, prob.n
     A = np.sqrt(g) * prob.A
@@ -514,7 +538,7 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
             G = G + A @ (W_inv @ G @ A.T)
             H_next = H + A.T @ H @ WA
             A = A @ WA
-            G, H_next = (G + G.T) / 2.0, (H_next + H_next.T) / 2.0
+            G, H_next = _sym(G), _sym(H_next)
             # numpy's Frobenius norm, sqrt(x @ x) over the ravel, without
             # its wrapper
             d, h = (H_next - H).ravel(), H_next.ravel()
@@ -530,13 +554,13 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
             raise NoConvergence(f"Riccati doubling did not converge in {max_iter} iterations")
     # H fixes K* only to the Riccati iteration's accuracy; one Hewer step from
     # the exact value of that gain brings it to policy iteration's
-    P = H
+    ev = None
     for _ in range(2):
+        P = H if ev is None else ev.P
         E = prob.R + g * prob.B.T @ P @ prob.B
         ev = _evaluation(prob, Gain(_solve(E, g * prob.B.T @ P @ prob.A)))
         if not ev.stabilizing:
             raise NoConvergence(
                 f"the Riccati gain is not gamma-stabilizing (margin {ev.margin:.3g}); (A, B) "
                 f"is not gamma-stabilizable or Q misses an unstable mode")
-        P = ev.P
-    return ev.gain, ValueSolution(P, ev.q)
+    return ev.gain, ev

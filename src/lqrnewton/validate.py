@@ -73,7 +73,7 @@ def _rel(err: float, ref: float) -> float:
     return err / max(ref, np.finfo(float).tiny)
 
 
-def check_scalar_grid(points: int = 50, tol: float = 1e-12) -> CheckResult:
+def check_scalar_grid() -> CheckResult:
     """Library derivatives on 1x1 matrices vs the scalar closed forms."""
     a = b = 1.0
     Q = R = 0.5
@@ -81,8 +81,8 @@ def check_scalar_grid(points: int = 50, tol: float = 1e-12) -> CheckResult:
     s0_sq, s_sq = 1.0, 0.2
     prob = LqrProblem(A=[[a]], B=[[b]], Q=[[Q]], R=[[R]], gamma=gamma,
                       Sigma_w=[[s_sq]], Sigma_0=[[s0_sq]])
-    thetas = np.linspace(-0.04, 2.04, points)
-    worst = 0.0
+    thetas = np.linspace(-0.04, 2.04, 50)
+    tol, worst = 1e-12, 0.0
     for theta in thetas:
         ref = scalar_reference(a, b, Q, R, gamma, s0_sq, s_sq, theta)
         gain = Gain([[theta]])
@@ -96,9 +96,9 @@ def check_scalar_grid(points: int = 50, tol: float = 1e-12) -> CheckResult:
                        f"max rel err {worst:.3e} (tol {tol:.0e})")
 
 
-def check_fd_gradient(seeds=range(5), tol: float = 1e-6) -> CheckResult:
-    worst = 0.0
-    for seed in seeds:
+def check_fd_gradient() -> CheckResult:
+    tol, worst = 1e-6, 0.0
+    for seed in range(5):
         prob, gain = random_stabilizing_instance(seed)
         g = policy_gradient(prob, gain)
         fd = fd_gradient(prob, gain)
@@ -107,9 +107,9 @@ def check_fd_gradient(seeds=range(5), tol: float = 1e-6) -> CheckResult:
                        f"max rel err {worst:.3e} (tol {tol:.0e})")
 
 
-def check_fd_hessian(seeds=range(3), tol: float = 1e-4) -> CheckResult:
-    worst = 0.0
-    for seed in seeds:
+def check_fd_hessian() -> CheckResult:
+    tol, worst = 1e-4, 0.0
+    for seed in range(3):
         prob, gain = random_stabilizing_instance(seed)
         H = exact_hessian(prob, gain).H_exact
         fd = fd_hessian(prob, gain)
@@ -119,13 +119,14 @@ def check_fd_hessian(seeds=range(3), tol: float = 1e-4) -> CheckResult:
                        f"max rel err {worst:.3e} (tol {tol:.0e})")
 
 
-def check_hvp(seeds=range(5), tol: float = 1e-12, fd_tol: float = 1e-6) -> CheckResult:
+def check_hvp() -> CheckResult:
     """Hessian-vector products against the dense H_exact and against
     central differences of the gradient, along a random direction and along
     that direction scaled by 1e-12, on random instances (n <= 4) and on a
     24-state building, whose Stein solves run by doubling."""
+    tol, fd_tol = 1e-12, 1e-6
     building = make_shear_building(floors=12, seed=7)
-    cases = [(seed, *random_stabilizing_instance(seed)) for seed in seeds]
+    cases = [(seed, *random_stabilizing_instance(seed)) for seed in range(5)]
     cases.append((7, building, initial_gain(building)))
     worst, worst_fd = 0.0, 0.0
     for seed, prob, gain in cases:
@@ -142,9 +143,9 @@ def check_hvp(seeds=range(5), tol: float = 1e-12, fd_tol: float = 1e-6) -> Check
                        f"{worst_fd:.3e} (tol {fd_tol:.0e})")
 
 
-def check_lambda_paths(seeds=range(5), tol: float = 1e-10) -> CheckResult:
-    worst = 0.0
-    for seed in seeds:
+def check_lambda_paths() -> CheckResult:
+    tol, worst = 1e-10, 0.0
+    for seed in range(5):
         prob, gain = random_stabilizing_instance(seed)
         jac = jacobian_vecP(prob, gain)
         direct = lambda_term(prob, gain, jac)
@@ -155,9 +156,9 @@ def check_lambda_paths(seeds=range(5), tol: float = 1e-10) -> CheckResult:
                        f"max rel err {worst:.3e} (tol {tol:.0e})")
 
 
-def check_moment_series(seeds=range(5), tol: float = 1e-8) -> CheckResult:
-    worst = 0.0
-    for seed in seeds:
+def check_moment_series() -> CheckResult:
+    tol, worst = 1e-8, 0.0
+    for seed in range(5):
         prob, gain = random_stabilizing_instance(seed)
         solved = solve_sigma(prob, gain)
         series = discounted_moment_series(prob, gain)
@@ -167,9 +168,9 @@ def check_moment_series(seeds=range(5), tol: float = 1e-8) -> CheckResult:
                        f"max rel err {worst:.3e} (tol {tol:.0e})")
 
 
-def check_optimum_identities(seeds=range(2), tol: float = 1e-8) -> CheckResult:
-    worst_grad, worst_lam = 0.0, 0.0
-    for seed in seeds:
+def check_optimum_identities() -> CheckResult:
+    tol, worst_grad, worst_lam = 1e-8, 0.0, 0.0
+    for seed in range(2):
         prob, _ = random_stabilizing_instance(seed)
         k_star, _ = optimal_gain(prob, tol=1e-12)
         rep = exact_hessian(prob, k_star)
@@ -198,10 +199,10 @@ def check_riccati() -> CheckResult:
                        f"max rel err {worst:.3e} (tol 1e-12)")
 
 
-def check_monte_carlo(samples: int = 2000, seed: int = 0) -> CheckResult:
+def check_monte_carlo() -> CheckResult:
     prob = make_pendulum()
     gain = initial_gain(prob)
-    est = monte_carlo_J(prob, gain, samples=samples, seed=seed)
+    est = monte_carlo_J(prob, gain, samples=2000, seed=0)
     exact = performance(prob, gain)
     err = abs(est.mean - exact)
     ok = err <= 3.0 * est.std_error

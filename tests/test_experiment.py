@@ -8,8 +8,9 @@ from lqrnewton import config_from_dict, load_config, run_experiment
 from lqrnewton.errors import ConfigError
 from lqrnewton.experiment import TRACE_HEADER, trace_csv_text
 from lqrnewton.optimize import OptimizerConfig, run
-from lqrnewton import (Gain, cli, lqr, make_pendulum, make_shear_building, initial_gain,
-                       optimal_gain, performance, policy_gradient)
+from lqrnewton import (Gain, benchmarks, cli, experiment, lqr, make_pendulum,
+                       make_shear_building, initial_gain, optimal_gain, performance,
+                       policy_gradient)
 
 from conftest import CRITERION_10_DOC
 
@@ -242,6 +243,28 @@ class TestRunExperiment:
             assert run_experiment(cfg) == 0
             outs.append({p.name: p.read_bytes() for p in sorted((tmp_path / sub).iterdir())})
         assert len(outs[0]) == 4 and outs[0] == outs[1]
+
+    def test_the_default_seed_is_made_only_for_a_method_without_one(self, tmp_path,
+                                                                     monkeypatch):
+        seed = initial_gain(make_pendulum()).K.tolist()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return optimal_gain(*args, **kwargs)
+
+        # initial_gain is benchmarks' optimal_gain on the inflated plant
+        for module in (experiment, benchmarks):
+            monkeypatch.setattr(module, "optimal_gain", counted)
+        methods = [dict(m, seed_gain=seed) for m in PENDULUM_DOC["methods"]]
+        # no method without a seed: one call, for K*; one: and one for the seed
+        for unseeded, want in ((0, 1), (1, 2)):
+            calls.clear()
+            doc = dict(PENDULUM_DOC, methods=PENDULUM_DOC["methods"][:unseeded]
+                       + methods[unseeded:])
+            cfg = config_from_dict(doc, output_dir=tmp_path / str(unseeded))
+            assert run_experiment(cfg) == 0
+            assert len(calls) == want
 
     def test_method_failure_recorded_not_fatal(self, tmp_path):
         doc = dict(PENDULUM_DOC)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lqrnewton import lqr
-from lqrnewton import (Evaluation, Gain, LqrProblem, closed_loop,
+from lqrnewton import derivatives, lqr
+from lqrnewton import (Evaluation, Gain, LqrProblem, OptimizerConfig, closed_loop,
                        initial_gain, is_gamma_stabilizing, make_pendulum, make_shear_building,
                        optimal_gain, pendulum_continuous,
-                       performance, policy_gradient, solve_sigma, solve_value)
+                       performance, policy_gradient, run, solve_sigma, solve_value)
 from lqrnewton.errors import NoConvergence, NotStabilizing
 from lqrnewton.oracles import scalar_reference
 
@@ -386,6 +386,17 @@ def _doubling_solve_reference(G, M, gamma):
         if not lqr._within_bound(M + gamma * G @ X @ Gt - X, X):
             raise NoConvergence("reference doubling missed its residual bound")
     return X
+
+
+@pytest.mark.parametrize("n", [2, 20, 48])
+@pytest.mark.parametrize("layout", ["C", "F", "transposed view", "stack"])
+def test_sym_has_the_bits_of_the_halved_sum(n, layout):
+    X = np.random.default_rng(n).standard_normal((3, n, n) if layout == "stack" else (n, n))
+    X = {"F": np.asfortranarray(X), "transposed view": X.T}.get(layout, X)
+    X0 = X.copy(order="A")
+    S = lqr._sym(X)
+    assert S.tobytes() == ((X + X.swapaxes(-1, -2)) / 2.0).tobytes()
+    assert S.flags.c_contiguous and X.tobytes() == X0.tobytes()
 
 
 class TestSteinSolve:
@@ -781,6 +792,31 @@ class TestOptimalGain:
         k, sol = optimal_gain(p)
         assert rel_err(k.K, K) <= 1e-12
         assert rel_err(sol.P, P) <= 1e-12
+
+    def test_the_value_at_k_star_is_solved_when_read(self, monkeypatch):
+        prob = make_shear_building(floors=24, seed=0)
+        calls = count_calls(monkeypatch, derivatives, "solve_value")
+        k_star, value = optimal_gain(prob)
+        # the value at the Riccati gain, for the Hewer step
+        assert len(calls) == 1
+        P = value.P
+        assert len(calls) == 2 and calls[1][1] is k_star
+        P_want, q_want = solve_value(prob, k_star)
+        assert P.tobytes() == P_want.tobytes() and value.q == q_want
+
+    def test_a_run_that_finds_k_star_adds_only_the_finish_solve(self, monkeypatch):
+        prob = make_shear_building(floors=6, seed=0)  # n = 12: doubling
+        cfg = OptimizerConfig(method="newton", max_iter=2, seed_gain=initial_gain(prob))
+        k_star, _ = optimal_gain(prob)
+        solves = count_calls(monkeypatch, lqr.SteinOperator, "solve")
+        given = run(prob, cfg, k_star=k_star)
+        n_given = len(solves)
+        found = run(prob, cfg)
+        # the SDA's gain needs its value P for the Hewer step; K*'s value
+        # is not read
+        assert len(solves) - n_given == n_given + 1
+        assert found.k_star.K.tobytes() == k_star.K.tobytes()
+        assert [s.J for s in found.steps] == [s.J for s in given.steps]
 
     def test_scalar_against_root_finding(self, scalar_prob):
         # independent oracle: bisection on the first-order condition

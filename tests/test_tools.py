@@ -4,10 +4,16 @@ from pathlib import Path
 from lqrnewton import (Gain, OptimizerConfig, derivatives, lqr, make_shear_building,
                        optimal_gain, run)
 
-_PARITY = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
-_spec = importlib.util.spec_from_file_location("parity", _PARITY)
-parity = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(parity)
+
+def _tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+parity, pairs = _tool("parity"), _tool("pairs")
 
 SOURCE = '''"""Module docstring,
 on two lines."""
@@ -54,3 +60,28 @@ def test_work_counts_of_a_fixed_step_newton_run():
     assert all(a is b for a, b in zip(counted, (
         lqr.SteinOperator.__init__, lqr.SteinOperator.solve,
         lqr.SteinOperator._doubling, lqr._geev, derivatives.Evaluation.hvp)))
+
+
+def _last_line(solve, setup, rss, failed=0):
+    values = {"solve_s.min": solve, "setup_s": setup, "peak_rss_mb": rss}
+    return {"attempted": 100, "failed": failed,
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def test_pairs_summary_on_fixed_numbers():
+    parent = [7.40, 7.30, 7.50, 7.45, 7.35, 7.42, 7.38, 7.60, 7.41, 7.39]
+    change = [7.00, 7.05, 7.10, 7.02, 7.50, 7.01, 7.03, 7.04, 6.99, 7.06]
+    runs = [(_last_line(p, 0.5, 100.0), _last_line(c, 0.5 if i % 2 else 0.6, 100.0))
+            for i, (p, c) in enumerate(zip(parent, change))]
+    s = pairs.summarize(runs)
+    solve = s["solve_s.min"]
+    assert solve["parent_median"] == 7.405 and solve["change_median"] == 7.035
+    # inclusive quartiles of the parent's ten runs: 7.3825 and 7.4425
+    assert abs(solve["parent_iqr"] - 0.06) < 1e-12
+    assert solve["gap"] == (7.035 - 7.405) / 7.405
+    assert (solve["wins"], solve["ties"], solve["gain"]) == (9, 0, True)
+    # equal runs tie and claim nothing; one more failed task voids a gain
+    assert (s["peak_rss_mb"]["wins"], s["peak_rss_mb"]["ties"]) == (0, 10)
+    assert (s["setup_s"]["wins"], s["setup_s"]["gain"]) == (0, False)
+    runs[0] = (runs[0][0], _last_line(7.0, 0.5, 100.0, failed=1))
+    assert not pairs.summarize(runs)["solve_s.min"]["gain"]
