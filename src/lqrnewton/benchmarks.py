@@ -192,13 +192,14 @@ def landscape(prob: LqrProblem,
     return LandscapeGrid(theta1=t1, theta2=t2, J=J, stabilizing=stab)
 
 
-def default_landscape_window(prob: LqrProblem, k_star: Optional[Gain] = None,
-                             span: float = 1.0, steps: int = 41):
-    """Grid ranges centered on the optimal gain, half-width `span` per axis."""
+def default_landscape_window(prob: LqrProblem, k_star: Optional[Gain] = None):
+    """Grid ranges centered on the optimal gain: half-width 1 and 41 points
+    per axis, as ``landscape`` takes them. ``k_star`` saves solving for the
+    optimal gain when the caller has it."""
     if prob.m * prob.n != 2:
         raise DimensionUnsupported("default window needs m*n == 2")
     if k_star is None:
         k_star, _ = optimal_gain(prob)
     t = k_star.theta
-    return ((t[0] - span, t[0] + span, steps),
-            (t[1] - span, t[1] + span, steps))
+    return ((t[0] - 1.0, t[0] + 1.0, 41),
+            (t[1] - 1.0, t[1] + 1.0, 41))

@@ -123,8 +123,6 @@ def _problem_from(node, seed, path: str = "problem") -> LqrProblem:
                             f"{path}: shear_building is randomized; provide a seed")
                     kwargs["seed"] = seed
                 return make_shear_building(**kwargs)
-        except ConfigError:
-            raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
         raise ConfigError(f"{path}.generator: unknown generator {gen!r}")

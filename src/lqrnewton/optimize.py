@@ -44,6 +44,12 @@ STEP_MODES = ("fixed", "backtracking")
 # Floor of Newton-CG's forcing term eta (see _newton_cg): no system is
 # solved past ||H d + grad|| <= 1e-12 ||grad||.
 _CG_RTOL = 1e-12
+# Armijo's sufficient-decrease constant and the backtracking factor, fixed
+# at the customary c = 1e-4 and halving (Nocedal & Wright, Numerical
+# Optimization, 2nd ed., section 3.1): the three methods share one search,
+# and no run, experiment or benchmark has needed other values.
+_ARMIJO = 1e-4
+_SHRINK = 0.5
 
 
 def _require_int(value, name: str, least: int) -> None:
@@ -59,22 +65,23 @@ class OptimizerConfig:
                   is truncated preconditioned CG on Hessian-vector products,
                   stopped by a forcing term (see search_direction), which
                   has no settings of its own
-    step_mode   : "fixed" (always step alpha) or "backtracking" (Armijo,
-                  shrinking from a first step)
+    step_mode   : "fixed" (always step alpha) or "backtracking" (Armijo's
+                  test at c = 1e-4, halving from a first step; c and the
+                  halving are constants, not settings)
     alpha       : fixed step, or, for backtracking, the first search's
                   first step and every search's cap: Newton-type searches
                   start at alpha, first-order ones after the first at the
                   previous step scaled by the slope ratio (see run), never
                   above alpha; positive and finite
-    max_backtracks, max_iter : integers, at least 0 and 1
+    max_backtracks : integer >= 0, the halvings a search may make
+    grad_tol    : positive; the run stops once ||grad|| <= grad_tol
+    max_iter    : integer >= 1
     seed_gain   : starting gain; None means the zero gain
     """
 
     method: str = "newton"
     step_mode: str = "backtracking"
     alpha: float = 1.0
-    c_armijo: float = 1e-4
-    shrink: float = 0.5
     max_backtracks: int = 60
     grad_tol: float = 1e-8
     max_iter: int = 100
@@ -87,10 +94,6 @@ class OptimizerConfig:
             raise ValueError(f"step_mode must be one of {STEP_MODES}, got {self.step_mode!r}")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 0.0 < self.c_armijo < 1.0:
-            raise ValueError("c_armijo must lie in (0, 1)")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         _require_int(self.max_iter, "max_iter", 1)
@@ -220,20 +223,22 @@ def search_direction(method: str, ev: Evaluation) -> np.ndarray:
     return d
 
 
-def _step(prob: LqrProblem, theta0: np.ndarray, direction: np.ndarray, J0: float,
-          slope: float, cfg: OptimizerConfig, alpha0: float):
-    """The step from theta0 along direction: (alpha, trial Evaluation,
-    backtracks), or None when no trial is accepted.
+def _step(ev: Evaluation, direction: np.ndarray, slope: float, cfg: OptimizerConfig,
+          alpha0: float):
+    """The step from the iterate ``ev`` along direction: (alpha, trial
+    Evaluation, backtracks), or None when no trial is accepted.
 
     A fixed step is one trial at alpha0. Backtracking tries
-    alpha = alpha0 * shrink^j for j = 0 .. max_backtracks and takes the
-    first trial that meets the Armijo decrease J <= J0 + c * alpha * slope,
-    with slope = grad'direction. In both modes a trial is refused when its
-    gain is not finite (refused by Gain), when it is not stabilizing
-    (including a closed loop that overflows), or when its doubling powers
-    certify it although its value solve misses the residual bound (a loop
-    unstable by round-off). Each trial is one :class:`Evaluation`.
+    alpha = alpha0 * _SHRINK^j for j = 0 .. max_backtracks and takes the
+    first trial that meets the Armijo decrease
+    J <= ev.J + _ARMIJO * alpha * slope, with slope = grad'direction. In
+    both modes a trial is refused when its gain is not finite (refused by
+    Gain), when it is not stabilizing (including a closed loop that
+    overflows), or when its doubling powers certify it although its value
+    solve misses the residual bound (a loop unstable by round-off). Each
+    trial is one :class:`Evaluation`.
     """
+    prob, theta0, J0 = ev.prob, ev.gain.theta, ev.J
     fixed = cfg.step_mode == "fixed"
     alpha = alpha0
     for j in range(1 if fixed else cfg.max_backtracks + 1):
@@ -244,12 +249,12 @@ def _step(prob: LqrProblem, theta0: np.ndarray, direction: np.ndarray, J0: float
                                                          prob.m, prob.n))
             # J is read in both modes, so a solve that misses its bound
             # refuses the trial
-            if trial.stabilizing and (trial.J <= J0 + cfg.c_armijo * alpha * slope
+            if trial.stabilizing and (trial.J <= J0 + _ARMIJO * alpha * slope
                                       or fixed):
                 return alpha, trial, j
         except (ValueError, NoConvergence):
             pass
-        alpha *= cfg.shrink
+        alpha *= _SHRINK
     return None
 
 
@@ -276,7 +281,7 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     cost is non-increasing across iterations; a Newton or Gauss-Newton
     search starts at alpha, a first-order search after the first at
     min(alpha, alpha_prev * slope_prev / slope), with slope = grad'd
-    (:func:`_initial_step`), and a record's backtracks counts the shrinks
+    (:func:`_initial_step`), and a record's backtracks counts the halvings
     from its search's first step to the step alpha_used it took. Every step
     is one call of :func:`_step`. The gain-error column uses k_star
     (computed once via optimal_gain when not supplied). When no trial is
@@ -321,7 +326,7 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
         alpha0 = (_initial_step(cfg.alpha, decrease, slope)
                   if cfg.method == "first_order" and cfg.step_mode == "backtracking"
                   else cfg.alpha)
-        step = _step(prob, ev.gain.theta, direction, ev.J, slope, cfg, alpha0)
+        step = _step(ev, direction, slope, cfg, alpha0)
         if step is None:
             rec.flag = ("left_stabilizing_set" if cfg.step_mode == "fixed"
                         else "line_search_failure")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,16 +243,16 @@ def _unit_variance_noise(rng: np.random.Generator, model: str,
     raise ValueError(f"unknown noise model {model!r}; choose from {_NOISE_MODELS}")
 
 
-def _choose_horizon(prob: LqrProblem, Acl: np.ndarray, P: np.ndarray, q: float,
-                    rel_tol: float = 1e-6) -> int:
-    """Smallest N whose truncation bias gamma^N * E[V(s_N)] is negligible.
+def _choose_horizon(prob: LqrProblem, Acl: np.ndarray, P: np.ndarray, q: float) -> int:
+    """Smallest N whose truncation bias gamma^N * E[V(s_N)] is at most 1e-6
+    of J.
 
     The bias of truncating the cost sum at N equals
     gamma^N (tr(P M_N) + q) with M_N from the moment recursion, so the
     bound is sharp rather than a crude stage-cost estimate.
     """
     J = float(np.trace(P @ prob.Sigma_0)) + q
-    budget = rel_tol * max(abs(J), 1e-12)
+    budget = 1e-6 * max(abs(J), 1e-12)
     M = prob.Sigma_0.copy()
     g = 1.0
     for N in range(200_000):
@@ -264,15 +264,14 @@ def _choose_horizon(prob: LqrProblem, Acl: np.ndarray, P: np.ndarray, q: float,
 
 
 def monte_carlo_J(prob: LqrProblem, gain: Gain, noise_model: str = "gaussian",
-                  samples: int = 10_000, horizon: Optional[int] = None,
-                  seed: int = 0) -> McEstimate:
+                  samples: int = 10_000, seed: int = 0) -> McEstimate:
     """Rollout estimate of the discounted cost J under the gain's policy.
 
-    Simulates `samples` independent trajectories of length `horizon`
-    (chosen automatically so the truncation bias is below 1e-6 relative)
-    and averages the discounted stage costs. Initial states are Gaussian
-    with covariance Sigma_0; process noise follows `noise_model`, always
-    with covariance Sigma_w exactly.
+    Simulates `samples` (at least 2) independent trajectories whose length,
+    reported as ``horizon``, is the shortest that keeps the truncation bias
+    below 1e-6 of J, and averages the discounted stage costs. Initial
+    states are Gaussian with covariance Sigma_0; process noise follows
+    `noise_model`, always with covariance Sigma_w exactly.
 
     Draws come from one numpy Generator seeded with `seed`: first the
     (samples, n) initial-state block, then one (samples, n) noise block per
@@ -286,8 +285,7 @@ def monte_carlo_J(prob: LqrProblem, gain: Gain, noise_model: str = "gaussian",
         raise ValueError("need at least 2 samples for a standard error")
     Acl = closed_loop(prob, gain)
     P, q = solve_value(prob, gain)
-    if horizon is None:
-        horizon = _choose_horizon(prob, Acl, P, q)
+    horizon = _choose_horizon(prob, Acl, P, q)
     C = prob.Q + gain.K.T @ prob.R @ gain.K
     C = (C + C.T) / 2.0
     L0 = psd_sqrt(prob.Sigma_0)

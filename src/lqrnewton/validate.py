@@ -29,13 +29,14 @@ class CheckResult:
     detail: str
 
 
-def random_stabilizing_instance(seed: int, n: int = None, m: int = None,
-                                min_grad: float = 1e-2):
+def random_stabilizing_instance(seed: int, n: int = None, m: int = None):
     """Deterministic random problem plus an interior stabilizing gain.
 
     The gain is the optimal gain perturbed away from the optimum until the
-    gradient is visible (>= min_grad) while keeping a comfortable stability
-    margin, so finite-difference probes stay inside the stabilizing set.
+    gradient is visible (||grad|| >= 1e-2) while keeping a comfortable
+    stability margin (> 0.05), so finite-difference probes stay inside the
+    stabilizing set. Each of up to 60 draws shrinks the perturbation by 0.8;
+    if none qualifies, the optimal gain itself is returned.
     """
     rng = np.random.default_rng(seed)
     if n is None:
@@ -63,7 +64,7 @@ def random_stabilizing_instance(seed: int, n: int = None, m: int = None,
         K = k_star.K + scale * rng.standard_normal((m, n))
         gain = Gain(K)
         ok, margin = is_gamma_stabilizing(prob, gain)
-        if ok and margin > 0.05 and np.linalg.norm(policy_gradient(prob, gain)) >= min_grad:
+        if ok and margin > 0.05 and np.linalg.norm(policy_gradient(prob, gain)) >= 1e-2:
             return prob, gain
         scale *= 0.8
     return prob, k_star

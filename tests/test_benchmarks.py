@@ -184,8 +184,8 @@ class TestLandscape:
     def test_default_window_centered(self):
         p = make_pendulum()
         k_star, _ = optimal_gain(p)
-        (lo1, hi1, s1), (lo2, hi2, s2) = default_landscape_window(p, k_star=k_star,
-                                                                  span=2.0, steps=5)
-        assert lo1 == pytest.approx(k_star.theta[0] - 2.0)
-        assert hi2 == pytest.approx(k_star.theta[1] + 2.0)
-        assert s1 == s2 == 5
+        (lo1, hi1, s1), (lo2, hi2, s2) = default_landscape_window(p, k_star=k_star)
+        # half-width 1 and 41 points per axis, fixed
+        assert (lo1, hi1) == (k_star.theta[0] - 1.0, k_star.theta[0] + 1.0)
+        assert (lo2, hi2) == (k_star.theta[1] - 1.0, k_star.theta[1] + 1.0)
+        assert s1 == s2 == 41

@@ -10,7 +10,7 @@ from lqrnewton.experiment import TRACE_HEADER, trace_csv_text
 from lqrnewton.optimize import OptimizerConfig, run
 from lqrnewton import (Gain, benchmarks, cli, experiment, lqr, make_pendulum,
                        make_shear_building, initial_gain, optimal_gain, performance,
-                       policy_gradient)
+                       policy_gradient, validate)
 
 from conftest import CRITERION_10_DOC
 
@@ -67,10 +67,13 @@ class TestConfigParsing:
             config_from_dict(doc)
 
     def test_unknown_method_key_rejected(self):
-        doc = {"problem": {"generator": "pendulum"},
-               "methods": [{"method": "newton", "stepsize": 1.0}]}
-        with pytest.raises(ConfigError, match="stepsize"):
-            config_from_dict(doc)
+        # c_armijo and shrink are fixed constants of the line search, not fields
+        for key in ("stepsize", "c_armijo", "shrink"):
+            doc = {"problem": {"generator": "pendulum"},
+                   "methods": [{"method": "newton", key: 0.5}]}
+            with pytest.raises(ConfigError,
+                               match=rf"^methods\[0\]: unknown field\(s\) {key}$"):
+                config_from_dict(doc)
 
     def test_generator_requires_seed_when_random(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -529,3 +532,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+
+    def test_validate_reports_failed_checks(self, monkeypatch, capsys):
+        checks = (lambda: validate.CheckResult("a", True, "fine"),
+                  lambda: validate.CheckResult("b", False, "off by 1"))
+        monkeypatch.setattr(validate, "ALL_CHECKS", checks)
+        assert cli.main(["validate"]) == 1
+        assert capsys.readouterr().out == ("PASS: a -- fine\nFAIL: b -- off by 1\n"
+                                           "1 check(s) failed\n")

@@ -30,6 +30,8 @@ def test_vec_round_trip_exact(rows, cols):
 def test_unvec_dimension_mismatch():
     with pytest.raises(ValueError):
         unvec(np.arange(5.0), 2, 2)
+    with pytest.raises(ValueError, match="ndim=3"):
+        vec(np.zeros((2, 2, 2)))
 
 
 def test_kron_identities():
@@ -75,6 +77,7 @@ def test_spectral_radius_cases():
     psi = np.deg2rad(40.0)
     rot = 0.7 * np.array([[np.cos(psi), -np.sin(psi)], [np.sin(psi), np.cos(psi)]])
     assert spectral_radius(rot) == pytest.approx(0.7, rel=1e-10)
+    assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
 def test_spectral_radius_rejects_non_square():

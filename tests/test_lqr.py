@@ -62,6 +62,8 @@ class TestProblemValidation:
             simple_problem(A=np.ones((2, 3)))
         with pytest.raises(ValueError, match="Q must be 2x2"):
             simple_problem(Q=np.eye(3))
+        with pytest.raises(ValueError, match="R must be 2x2"):
+            simple_problem(R=np.eye(3))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,8 @@ class TestSearchDirection:
         monkeypatch.setattr(optimize, "_newton_cg", lambda ev: ev.grad)
         with pytest.raises(DirectionError, match="not a descent direction"):
             search_direction("newton", Evaluation(prob, seed))
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            search_direction("bogus", Evaluation(prob, seed))
 
     def test_first_order_is_negative_gradient(self, pendulum):
         prob, _, seed = pendulum
@@ -196,8 +198,7 @@ class TestBacktracking:
         ev = Evaluation(scalar_prob, scalar_gain)
         d = search_direction("newton", ev)
         J0 = performance(scalar_prob, scalar_gain)
-        alpha, trial, _ = _step(scalar_prob, scalar_gain.theta, d, J0, float(ev.grad @ d),
-                                cfg, cfg.alpha)
+        alpha, trial, _ = _step(ev, d, float(ev.grad @ d), cfg, cfg.alpha)
         assert alpha == 1.0
         assert performance(scalar_prob, trial.gain) < J0
 
@@ -208,7 +209,7 @@ class TestBacktracking:
         assert float(d @ grad) < 0
         J0 = performance(scalar_prob, scalar_gain)
         cfg = OptimizerConfig(method="first_order", alpha=1.0)
-        alpha, trial, _ = _step(scalar_prob, scalar_gain.theta, d, J0, float(grad @ d),
+        alpha, trial, _ = _step(Evaluation(scalar_prob, scalar_gain), d, float(grad @ d),
                                 cfg, cfg.alpha)
         assert alpha < 1.0
         ok, _ = is_gamma_stabilizing(scalar_prob, trial.gain)
@@ -218,9 +219,8 @@ class TestBacktracking:
     def test_failure_after_budget(self, scalar_prob, scalar_gain):
         grad = policy_gradient(scalar_prob, scalar_gain)
         d = np.array([1000.0])
-        J0 = performance(scalar_prob, scalar_gain)
         cfg = OptimizerConfig(max_backtracks=0)
-        assert _step(scalar_prob, scalar_gain.theta, d, J0, float(grad @ d), cfg,
+        assert _step(Evaluation(scalar_prob, scalar_gain), d, float(grad @ d), cfg,
                      cfg.alpha) is None
 
 
@@ -232,10 +232,6 @@ class TestConfigValidation:
             OptimizerConfig(step_mode="exact")
         with pytest.raises(ValueError):
             OptimizerConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(shrink=1.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(c_armijo=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=0.0)
         for bad in ({"alpha": np.inf}, {"alpha": np.nan}, {"max_iter": 2.5},
@@ -396,31 +392,32 @@ class TestComputeOnce:
         assert all(a.shape == (2, 2) for a, in eig)
 
 
-def _sequential_backtrack(prob, theta0, direction, J0, slope, cfg, alpha0):
-    """Reference line search: one Evaluation per trial, in order, from the
-    step alpha0; None when the budget is exhausted."""
-    alpha = alpha0
+def _sequential_backtrack(ev, direction, slope, cfg, alpha0):
+    """Reference line search from the iterate ev: one Evaluation per trial,
+    in order, from the step alpha0, with Armijo's c = 1e-4 and halving;
+    None when the budget is exhausted."""
+    prob, alpha = ev.prob, alpha0
     for j in range(cfg.max_backtracks + 1):
-        trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
+        trial = Evaluation(prob, Gain.from_theta(ev.gain.theta + alpha * direction,
                                                  prob.m, prob.n))
-        if trial.stabilizing and trial.J <= J0 + cfg.c_armijo * alpha * slope:
+        if trial.stabilizing and trial.J <= ev.J + 1e-4 * alpha * slope:
             return alpha, trial, j
-        alpha *= cfg.shrink
+        alpha *= 0.5
     return None
 
 
 def _search_start(prob, method):
     """An iterate, its direction, and the arguments of a search from it:
-    (prob, theta0, direction, J0, slope)."""
+    (ev, direction, slope)."""
     ev = Evaluation(prob, initial_gain(prob))
     d = search_direction(method, ev)
-    return ev, d, (prob, ev.gain.theta, d, ev.J, float(ev.grad @ d))
+    return ev, d, (ev, d, float(ev.grad @ d))
 
 
 class TestLadder:
     """The line search accepts the trial a search of plain Evaluations
     accepts, with the same bits, from whichever step it starts:
-    alpha * shrink^start for a start of 0 (the full step), 1 and 3 (steps
+    alpha * 0.5^start for a start of 0 (the full step), 1 and 3 (steps
     the pendulum's first-order search rejects) and 60 (far below the
     accepted step, so its first trial is accepted)."""
 
@@ -450,7 +447,7 @@ class TestLadder:
         prob = plants[plant]
         ev, d, args = _search_start(prob, method)
         cfg = OptimizerConfig(method=method, alpha=1.0)
-        alpha0 = cfg.shrink ** start
+        alpha0 = 0.5 ** start
         want = _sequential_backtrack(*args, cfg, alpha0)
         if plant == "pendulum" and start == 0:
             # the full first-order step leaves the stabilizing set
@@ -477,12 +474,13 @@ class TestLadder:
 
     def test_non_finite_trial_gain_is_refused(self, plants):
         ev, d, args = _search_start(plants["pendulum"], "first_order")
-        cfg = OptimizerConfig(alpha=1e308, shrink=1e-3, max_backtracks=200)
+        # halving from 1e308 reaches the accepted step after about 1030 trials
+        cfg = OptimizerConfig(alpha=1e308, max_backtracks=1100)
         # the first trials overflow; j0 is the first finite one
         j0, alpha = 0, cfg.alpha
         with np.errstate(over="ignore"):
             while not np.isfinite(ev.gain.theta + alpha * d).all():
-                j0, alpha = j0 + 1, alpha * cfg.shrink
+                j0, alpha = j0 + 1, alpha * 0.5
         assert j0 >= 1
         # the search refuses the overflowing trials, with no warning, and
         # then accepts what a search from trial j0 accepts
@@ -531,10 +529,10 @@ class TestInitialStep:
         assert all(0.0 < s.alpha_used <= cfg.alpha for s in steps)
         assert np.all(np.diff(rec.column("J")) <= 0.0)
         # the first search starts at alpha; for -grad the slope is -||grad||^2
-        assert steps[0].alpha_used == cfg.alpha * cfg.shrink ** steps[0].backtracks
+        assert steps[0].alpha_used == cfg.alpha * 0.5 ** steps[0].backtracks
         for prev, s in zip(steps, steps[1:]):
             alpha0 = min(cfg.alpha, prev.alpha_used * (prev.grad_norm / s.grad_norm) ** 2)
-            assert s.alpha_used == pytest.approx(alpha0 * cfg.shrink ** s.backtracks,
+            assert s.alpha_used == pytest.approx(alpha0 * 0.5 ** s.backtracks,
                                                  rel=1e-12)
 
     @pytest.mark.parametrize("method", ["newton", "gauss_newton"])
@@ -544,7 +542,7 @@ class TestInitialStep:
                               seed_gain=initial_gain(prob, r_inflation=100.0))
         rec = run(prob, cfg)
         assert rec.converged
-        assert all(s.alpha_used == cfg.alpha * cfg.shrink ** s.backtracks
+        assert all(s.alpha_used == cfg.alpha * 0.5 ** s.backtracks
                    for s in rec.steps[:-1])
         if method == "newton":
             assert rec.iterations == 9 and rec.column("backtracks").sum() == 4
@@ -648,8 +646,8 @@ class TestCertifiedStability:
                         start = Evaluation(prob, Gain(1.1 * k_star.K))
                         d = -start.gain.theta
                         assert float(start.grad @ d) < 0.0
-                        alpha, trial, _ = _step(prob, start.gain.theta, d, start.J,
-                                                float(start.grad @ d), OptimizerConfig(), 1.0)
+                        alpha, trial, _ = _step(start, d, float(start.grad @ d),
+                                                OptimizerConfig(), 1.0)
                         assert 0.0 < alpha < 1.0
                         assert Evaluation(prob, trial.gain).stabilizing
                         rec = run(prob, OptimizerConfig(step_mode="fixed",

@@ -9,16 +9,16 @@ import pytest
 import lqrnewton
 
 from lqrnewton import validate
-from lqrnewton import (Gain, LqrProblem, jacobian_vecP, lambda_term,
+from lqrnewton import (Gain, LqrProblem, jacobian_vecP, lambda_term, lqr,
                        make_pendulum, initial_gain, optimal_gain, performance,
-                       solve_sigma)
+                       policy_gradient, solve_sigma)
 from lqrnewton.errors import NotStabilizing, PerturbationLeftStabilizingSet
 from lqrnewton.oracles import (discounted_moment_series, fd_gradient,
-                               fd_hessian, lambda_via_Mi, monte_carlo_J,
+                               fd_hessian, fd_hvp, lambda_via_Mi, monte_carlo_J,
                                scalar_reference)
 
 from conftest import (DP_05, GRAD_05, HEXACT_05, HGN_05, LAM_05, P_05,
-                      SIGMA_05, make_instances, rel_err, scalar_problem)
+                      SIGMA_05, count_calls, make_instances, rel_err, scalar_problem)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,8 @@ class TestFiniteDifferences:
         gain = Gain([[theta_edge]])
         with pytest.raises(PerturbationLeftStabilizingSet):
             fd_gradient(prob, gain, h=1e-6)
+        with pytest.raises(PerturbationLeftStabilizingSet):
+            fd_hvp(prob, gain, np.array([1.0]), h=1e-6)
 
     def test_hessian_matches_scalar_reference(self, scalar_prob, scalar_gain):
         fd = fd_hessian(scalar_prob, scalar_gain)
@@ -185,6 +187,8 @@ class TestMonteCarlo:
     def test_unknown_model_rejected(self, scalar_prob, scalar_gain):
         with pytest.raises(ValueError):
             monte_carlo_J(scalar_prob, scalar_gain, noise_model="cauchy", samples=10)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            monte_carlo_J(scalar_prob, scalar_gain, samples=1)
 
     def test_rejects_unstable_gain(self, scalar_prob):
         with pytest.raises(NotStabilizing):
@@ -201,6 +205,16 @@ class TestRiccatiCheck:
 
         monkeypatch.setattr(validate, "optimal_gain", off)
         assert not validate.check_riccati().passed
+
+
+@pytest.mark.parametrize("seed, draws", [(0, 1), (50, 2)])
+def test_random_instance_redraws_a_gain_that_misses_its_bounds(monkeypatch, seed, draws):
+    calls = count_calls(monkeypatch, validate, "is_gamma_stabilizing")
+    prob, gain = validate.random_stabilizing_instance(seed)
+    assert len(calls) == draws
+    ok, margin = lqr.is_gamma_stabilizing(prob, gain)
+    assert ok and margin > 0.05
+    assert np.linalg.norm(policy_gradient(prob, gain)) >= 1e-2
 
 
 def test_import_does_not_load_scipy_special():

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from lqrnewton import (Gain, OptimizerConfig, derivatives, lqr, make_shear_building,
                        optimal_gain, run)
 
@@ -83,5 +85,25 @@ def test_pairs_summary_on_fixed_numbers():
     # equal runs tie and claim nothing; one more failed task voids a gain
     assert (s["peak_rss_mb"]["wins"], s["peak_rss_mb"]["ties"]) == (0, 10)
     assert (s["setup_s"]["wins"], s["setup_s"]["gain"]) == (0, False)
+    # every gap here is inside its bound, and every spread inside it too
+    assert {name: m["verdict"] for name, m in s.items()} == dict.fromkeys(pairs.GATED, "held")
     runs[0] = (runs[0][0], _last_line(7.0, 0.5, 100.0, failed=1))
     assert not pairs.summarize(runs)["solve_s.min"]["gain"]
+
+
+def test_pairs_verdict_against_the_bounds_of_benchmark_json():
+    assert pairs.BOUNDS == {"solve_s.min": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+    # solve: parent median 1.0 with IQR 0.55, a spread past the 25% bound
+    parent = [0.5, 0.6, 0.7, 0.8, 1.0, 1.0, 1.2, 1.3, 1.4, 1.5]
+    # rss: +10.5% is past its 10% bound; setup: every change run beats
+    # every parent run, so a spread past the bound resolves
+    runs = [(_last_line(p, 1.0 + i / 10, 100.0), _last_line(p + 0.1, 0.1, 110.5))
+            for i, p in enumerate(parent)]
+    s = pairs.summarize(runs)
+    assert s["solve_s.min"]["parent_iqr"] == pytest.approx(0.55)
+    assert s["solve_s.min"]["gap"] == pytest.approx(0.1)
+    assert {name: m["verdict"] for name, m in s.items()} == {
+        "solve_s.min": "unresolved", "setup_s": "held", "peak_rss_mb": "worse"}
+    # a gap past the bound is worse however wide the spread
+    runs = [(par, _last_line(2.0, 0.1, 100.0)) for par, _ in runs]
+    assert pairs.summarize(runs)["solve_s.min"]["verdict"] == "worse"

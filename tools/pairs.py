@@ -12,9 +12,14 @@ the host falls on both sides alike. Each run's last line, the benchmark's
 JSON summary, is parsed. The tool prints every pair's gated metrics with
 its task counts, then, per metric, both medians, the parent's
 interquartile range (inclusive quartiles), the relative gap of the
-medians, the change's wins and the ties. A gain holds when the change
-wins at least nine in ten pairs, its median beats the parent's by more
-than that range, and no more of its tasks fail than of the parent's.
+medians, the change's wins and the ties, whether a gain holds, and a
+no-regression verdict against the metric's bound in BENCHMARK.json. A gain
+holds when the change wins at least nine in ten pairs, its median beats
+the parent's by more than that range, and no more of its tasks fail than
+of the parent's. The verdict is ``worse`` when the gap exceeds the bound,
+``unresolved`` when the parent's range, relative to its median, exceeds
+the bound and not every change run beats every parent run, and ``held``
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,8 +32,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the gated metrics of lqrbench/run.py --trace 0; lower is better for each
-GATED = ("solve_s.min", "setup_s", "peak_rss_mb")
+# the gated metrics of lqrbench/run.py --trace 0 and their relative bounds;
+# lower is better for each
+BOUNDS = {m["name"]: m["bound"] for m in
+          json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+GATED = tuple(BOUNDS)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -47,7 +55,7 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict[str, dict]:
     """Per gated metric, over (parent, change) pairs of parsed last lines:
     both medians, the parent's interquartile range, the relative gap of the
     medians (negative when the change is lower), wins of the change, ties,
-    and whether a gain holds."""
+    whether a gain holds, and the verdict against the metric's bound."""
     more_failed = sum(c["failed"] for _, c in pairs) > sum(p["failed"] for p, _ in pairs)
     out = {}
     for name in GATED:
@@ -57,10 +65,18 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict[str, dict]:
         med_p, med_c = statistics.median(par), statistics.median(chg)
         wins = sum(c < p for p, c in zip(par, chg))
         ties = sum(c == p for p, c in zip(par, chg))
+        gap, bound = (med_c - med_p) / med_p, BOUNDS[name]
+        if gap > bound:
+            verdict = "worse"
+        elif (q3 - q1) / med_p > bound and not max(chg) < min(par):
+            verdict = "unresolved"
+        else:
+            verdict = "held"
         out[name] = {"parent_median": med_p, "change_median": med_c, "parent_iqr": q3 - q1,
-                     "gap": (med_c - med_p) / med_p, "wins": wins, "ties": ties,
+                     "gap": gap, "wins": wins, "ties": ties,
                      "gain": (10 * wins >= 9 * len(pairs) and med_p - med_c > q3 - q1
-                              and not more_failed)}
+                              and not more_failed),
+                     "verdict": verdict}
     return out
 
 
@@ -94,11 +110,12 @@ def main(argv=None) -> int:
                                 for s in ("parent", "change")), flush=True)
 
     print(f"{'metric':<12} {'parent median':>14} {'change median':>14} {'parent IQR':>11} "
-          f"{'gap':>8} {'wins':>5} {'ties':>5}  gain")
+          f"{'gap':>8} {'wins':>5} {'ties':>5}  gain  verdict (bound)")
     for name, s in summarize(pairs).items():
         print(f"{name:<12} {s['parent_median']:>14.6g} {s['change_median']:>14.6g} "
               f"{s['parent_iqr']:>11.3g} {100 * s['gap']:>+7.2f}% {s['wins']:>5} "
-              f"{s['ties']:>5}  {'yes' if s['gain'] else 'no'}")
+              f"{s['ties']:>5}  {'yes' if s['gain'] else 'no':<4}  {s['verdict']} "
+              f"({100 * BOUNDS[name]:.0f}%)")
     return 0
 
 
