@@ -160,13 +160,6 @@ class LandscapeGrid:
     J: np.ndarray
     stabilizing: np.ndarray
 
-    def min_cell(self) -> tuple[int, int]:
-        """Indices of the smallest evaluated cost; raises if none evaluated."""
-        if not self.stabilizing.any():
-            raise ValueError("no stabilizing cell in the grid")
-        masked = np.where(self.stabilizing, self.J, np.inf)
-        return tuple(np.unravel_index(np.argmin(masked), masked.shape))
-
 
 def landscape(prob: LqrProblem,
               theta1_range: tuple[float, float, int],

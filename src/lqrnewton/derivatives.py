@@ -186,7 +186,9 @@ class Evaluation:
 
     @cached
     def J(self) -> float:
-        """Performance tr(P Sigma_0) + q."""
+        """Performance tr(P Sigma_0) + q. A line search that accepts the gain
+        on its exact cost difference sets it to the iterate's J plus that
+        difference instead (see optimize._decreases)."""
         return float((self.P @ self.prob.Sigma_0).trace() + self.q)
 
     @cached

@@ -13,7 +13,10 @@ such scale, so a first-order search after the first starts at the
 previous step times the ratio of the previous slope grad'd to this one
 (Nocedal & Wright, eq. 3.60), which saves most of the trials a restart at
 alpha would reject. Every step is taken by one search (_step), and a
-fixed step is its one-trial case. Each trial is one Evaluation, and trial
+fixed step is its one-trial case. Where the computed costs refuse
+Armijo's decrease by round-off, the exact cost difference decides it
+(_decreases), so backtracking Newton reaches the gradient's round-off floor
+rather than stalling above it. Each trial is one Evaluation, and trial
 gains that leave the gamma-stabilizing set (where the cost is undefined)
 are rejected exactly like Armijo failures, so no recorded iterate is ever
 non-stabilizing.
@@ -35,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DirectionError, NoConvergence, SeedNotStabilizing
-from .lqr import Gain, LqrProblem, _trtri, optimal_gain
+from .lqr import _RESID_TOL, Gain, LqrProblem, _trtri, optimal_gain
 from .derivatives import Evaluation
-from .linalg import vec
+from .linalg import unvec, vec
 
 METHODS = ("first_order", "gauss_newton", "newton")
 STEP_MODES = ("fixed", "backtracking")
@@ -223,6 +226,49 @@ def search_direction(method: str, ev: Evaluation) -> np.ndarray:
     return d
 
 
+def _cost_difference(ev: Evaluation, trial: Evaluation, D: np.ndarray) -> float:
+    """J(K + D) - J(K) for the iterate ``ev`` at K and the trial at K + D,
+    by the cost-difference lemma (Fazel, Ge, Kakade & Mesbahi, 2018):
+
+        dJ = tr(dP Sigma_0) + gamma / (1 - gamma) tr(dP Sigma_w),
+        dP = D'ED + D'S + S'D + gamma Acl+' dP Acl+,
+
+    with S and E from ev and the Stein solve on the trial's operator (Acl+
+    its closed loop). It resolves a difference far below round-off in J.
+    """
+    prob = ev.prob
+    # D'(ED / 2 + S) plus its transpose: D'ED + D'S + S'D, exactly symmetric
+    W = D.T @ (0.5 * ev.E @ D + ev.S)
+    WW = W.T.copy()
+    WW += W
+    dP = trial.stein.solve(WW)
+    return float((dP @ prob.Sigma_0).trace()
+                 + prob.gamma / (1.0 - prob.gamma) * (dP @ prob.Sigma_w).trace())
+
+
+def _decreases(ev: Evaluation, trial: Evaluation, D: np.ndarray, bound: float) -> bool:
+    """Armijo's test of the trial at K + D from the iterate ``ev``:
+    J(trial) - ev.J <= bound, with bound = _ARMIJO * alpha * slope < 0.
+
+    The computed costs decide, except for a trial they refuse by no more
+    than the value solve's accuracy, _RESID_TOL * |ev.J|: there they cannot
+    tell a decrease from round-off, and the exact difference
+    :func:`_cost_difference` decides. Near the optimum Newton's predicted
+    decrease falls below round-off in J, and the computed costs alone then
+    refuse every trial. A trial accepted on the exact difference takes the
+    cost ev.J + dJ, which lies below its computed cost by round-off, so the
+    costs a run records never rise.
+    """
+    J0, J = ev.J, trial.J
+    if J <= J0 + bound or J - (J0 + bound) > _RESID_TOL * abs(J0):
+        return J <= J0 + bound
+    dJ = _cost_difference(ev, trial, D)
+    if dJ > bound:
+        return False
+    trial.J = J0 + dJ
+    return True
+
+
 def _step(ev: Evaluation, direction: np.ndarray, slope: float, cfg: OptimizerConfig,
           alpha0: float):
     """The step from the iterate ``ev`` along direction: (alpha, trial
@@ -230,28 +276,35 @@ def _step(ev: Evaluation, direction: np.ndarray, slope: float, cfg: OptimizerCon
 
     A fixed step is one trial at alpha0. Backtracking tries
     alpha = alpha0 * _SHRINK^j for j = 0 .. max_backtracks and takes the
-    first trial that meets the Armijo decrease
-    J <= ev.J + _ARMIJO * alpha * slope, with slope = grad'direction. In
-    both modes a trial is refused when its gain is not finite (refused by
-    Gain), when it is not stabilizing (including a closed loop that
-    overflows), or when its doubling powers certify it although its value
-    solve misses the residual bound (a loop unstable by round-off). Each
-    trial is one :class:`Evaluation`.
+    first trial that meets Armijo's decrease J(trial) - ev.J <=
+    _ARMIJO * alpha * slope, with slope = grad'direction. A trial whose
+    computed cost misses that bound by no more than the value solve's
+    accuracy is decided on the exact cost difference of the step
+    D = alpha * direction, at one Stein solve more (:func:`_decreases`),
+    so near the optimum a decrease below round-off in J is still seen. In both
+    modes a trial is refused when its gain is not finite (refused by Gain),
+    when it is not stabilizing (including a closed loop that overflows), or
+    when its doubling powers certify it although its value solve misses
+    the residual bound (a loop unstable by round-off), and so when the
+    cost difference's solve misses it. Each trial is one
+    :class:`Evaluation`.
     """
-    prob, theta0, J0 = ev.prob, ev.gain.theta, ev.J
+    prob, theta0 = ev.prob, ev.gain.theta
     fixed = cfg.step_mode == "fixed"
     alpha = alpha0
     for j in range(1 if fixed else cfg.max_backtracks + 1):
         try:
             # a step that overflows is refused, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                trial = Evaluation(prob, Gain.from_theta(theta0 + alpha * direction,
-                                                         prob.m, prob.n))
-            # J is read in both modes, so a solve that misses its bound
-            # refuses the trial
-            if trial.stabilizing and (trial.J <= J0 + _ARMIJO * alpha * slope
-                                      or fixed):
-                return alpha, trial, j
+                step = alpha * direction
+                trial = Evaluation(prob, Gain.from_theta(theta0 + step, prob.m, prob.n))
+            if trial.stabilizing:
+                # J is read in both modes, so a solve that misses its bound
+                # refuses the trial
+                trial.J
+                if fixed or _decreases(ev, trial, unvec(step, prob.m, prob.n),
+                                       _ARMIJO * alpha * slope):
+                    return alpha, trial, j
         except (ValueError, NoConvergence):
             pass
         alpha *= _SHRINK
@@ -278,7 +331,9 @@ def run(prob: LqrProblem, cfg: OptimizerConfig,
     """Run the preconditioned update loop until grad_tol or max_iter.
 
     Every recorded iterate is gamma-stabilizing. In backtracking mode the
-    cost is non-increasing across iterations; a Newton or Gauss-Newton
+    recorded cost is non-increasing across iterations (an iterate accepted
+    on its exact cost difference records the previous cost plus that
+    difference, see :func:`_decreases`); a Newton or Gauss-Newton
     search starts at alpha, a first-order search after the first at
     min(alpha, alpha_prev * slope_prev / slope), with slope = grad'd
     (:func:`_initial_step`), and a record's backtracks counts the halvings

@@ -6,7 +6,14 @@ estimation of the discounted cost.
 
 Each oracle deliberately avoids the code path it checks: the moment series
 never calls the Lyapunov solver, the finite differences only evaluate the
-performance, and the scalar closed forms are plain arithmetic.
+performance (or, for Hessian-vector products, the gradient), and the scalar
+closed forms are plain arithmetic.
+
+What an oracle does need at a gain, its margin, closed loop, P, q, Sigma or
+dP/dtheta, it reads from one :class:`~lqrnewton.derivatives.Evaluation` of
+that gain, so each gain, and each finite-difference probe, is evaluated
+once. A probe must have margin > 0, checked before its cost or gradient is
+read, or the oracle raises PerturbationLeftStabilizingSet.
 """
 
 from __future__ import annotations
@@ -19,9 +26,8 @@ import numpy as np
 
 from .errors import NoConvergence, NotStabilizing, PerturbationLeftStabilizingSet
 from .linalg import kron, psd_sqrt, spectral_radius, unvec, vec
-from .lqr import Gain, LqrProblem, closed_loop, is_gamma_stabilizing, performance, \
-    solve_sigma, solve_value
-from .derivatives import jacobian_vecP, policy_gradient
+from .lqr import Gain, LqrProblem
+from .derivatives import Evaluation
 
 
 class ScalarReport(NamedTuple):
@@ -68,13 +74,14 @@ def scalar_reference(a: float, b: float, Q: float, R: float, gamma: float,
     return ScalarReport(sigma, p, dp, grad, h_gn, lam, h_gn + gamma * lam)
 
 
-def _perturbed_performance(prob: LqrProblem, theta: np.ndarray) -> float:
-    trial = Gain.from_theta(theta, prob.m, prob.n)
-    ok, margin = is_gamma_stabilizing(prob, trial)
-    if not ok:
+def _probe(prob: LqrProblem, theta: np.ndarray) -> Evaluation:
+    """The Evaluation at a finite-difference probe gain, which must have
+    margin > 0, otherwise PerturbationLeftStabilizingSet."""
+    ev = Evaluation(prob, Gain.from_theta(theta, prob.m, prob.n))
+    if not ev.margin > 0.0:
         raise PerturbationLeftStabilizingSet(
-            f"finite-difference probe left the stabilizing set (margin {margin:.3e})")
-    return performance(prob, trial)
+            f"finite-difference probe left the stabilizing set (margin {ev.margin:.3e})")
+    return ev
 
 
 def fd_gradient(prob: LqrProblem, gain: Gain, h: float = 1e-6) -> np.ndarray:
@@ -90,8 +97,7 @@ def fd_gradient(prob: LqrProblem, gain: Gain, h: float = 1e-6) -> np.ndarray:
         up, dn = theta0.copy(), theta0.copy()
         up[i] += hi
         dn[i] -= hi
-        grad[i] = (_perturbed_performance(prob, up)
-                   - _perturbed_performance(prob, dn)) / (2.0 * hi)
+        grad[i] = (_probe(prob, up).J - _probe(prob, dn).J) / (2.0 * hi)
     return grad
 
 
@@ -100,14 +106,13 @@ def fd_hessian(prob: LqrProblem, gain: Gain, h: float = 1e-4) -> np.ndarray:
     theta0 = gain.theta
     d = theta0.size
     steps = np.array([h * max(1.0, abs(t)) for t in theta0])
-    J0 = _perturbed_performance(prob, theta0)
+    J0 = _probe(prob, theta0).J
     H = np.zeros((d, d))
     for i in range(d):
         up, dn = theta0.copy(), theta0.copy()
         up[i] += steps[i]
         dn[i] -= steps[i]
-        H[i, i] = (_perturbed_performance(prob, up) - 2.0 * J0
-                   + _perturbed_performance(prob, dn)) / steps[i] ** 2
+        H[i, i] = (_probe(prob, up).J - 2.0 * J0 + _probe(prob, dn).J) / steps[i] ** 2
     for i in range(d):
         for j in range(i + 1, d):
             vals = {}
@@ -115,7 +120,7 @@ def fd_hessian(prob: LqrProblem, gain: Gain, h: float = 1e-4) -> np.ndarray:
                 t = theta0.copy()
                 t[i] += si * steps[i]
                 t[j] += sj * steps[j]
-                vals[si, sj] = _perturbed_performance(prob, t)
+                vals[si, sj] = _probe(prob, t).J
             H[i, j] = (vals[1, 1] - vals[1, -1] - vals[-1, 1] + vals[-1, -1]) \
                 / (4.0 * steps[i] * steps[j])
             H[j, i] = H[i, j]
@@ -134,15 +139,8 @@ def fd_hvp(prob: LqrProblem, gain: Gain, v: np.ndarray, h: float = 1e-6) -> np.n
     theta0 = gain.theta
     v = np.asarray(v, dtype=float)
     s = h * max(1.0, float(np.linalg.norm(theta0))) / float(np.linalg.norm(v))
-    grads = []
-    for sign in (1.0, -1.0):
-        probe = Gain.from_theta(theta0 + sign * s * v, prob.m, prob.n)
-        ok, margin = is_gamma_stabilizing(prob, probe)
-        if not ok:
-            raise PerturbationLeftStabilizingSet(
-                f"finite-difference probe left the stabilizing set (margin {margin:.3e})")
-        grads.append(policy_gradient(prob, probe))
-    return (grads[0] - grads[1]) / (2.0 * s)
+    up, dn = (_probe(prob, theta0 + sign * s * v).grad for sign in (1.0, -1.0))
+    return (up - dn) / (2.0 * s)
 
 
 def discounted_moment_series(prob: LqrProblem, gain: Gain,
@@ -157,10 +155,10 @@ def discounted_moment_series(prob: LqrProblem, gain: Gain,
     Acl, nonzero noise) and gamma*rho(Acl)^2 when they grow; their max is
     used as the tail ratio.
     """
-    ok, _ = is_gamma_stabilizing(prob, gain)
-    if not ok:
+    ev = Evaluation(prob, gain)
+    if not ev.margin > 0.0:
         raise NotStabilizing("moment series diverges for a non-stabilizing gain")
-    Acl = closed_loop(prob, gain)
+    Acl = ev.Acl
     ratio = max(prob.gamma, prob.gamma * spectral_radius(Acl) ** 2)
     tail_factor = ratio / (1.0 - ratio)
     M = prob.Sigma_0.copy()
@@ -189,15 +187,13 @@ def lambda_via_Mi(prob: LqrProblem, gain: Gain) -> np.ndarray:
     Must agree with :func:`lqrnewton.derivatives.lambda_term`; exercising
     both routes checks the chain of identities connecting them.
     """
-    jac = jacobian_vecP(prob, gain)
-    Sigma = solve_sigma(prob, gain)
-    Acl = closed_loop(prob, gain)
+    ev = Evaluation(prob, gain)
     n, m = prob.n, prob.m
     cols = []
     for i in range(m * n):
-        D = unvec(jac[:, i], n, n)
-        cols.append(vec(prob.B.T @ (D + D.T) @ Acl))
-    Ef = -kron(Sigma, np.eye(m)) @ np.column_stack(cols)
+        D = unvec(ev.jac_vecP[:, i], n, n)
+        cols.append(vec(prob.B.T @ (D + D.T) @ ev.Acl))
+    Ef = -kron(ev.Sigma, np.eye(m)) @ np.column_stack(cols)
     return Ef + Ef.T
 
 
@@ -243,16 +239,16 @@ def _unit_variance_noise(rng: np.random.Generator, model: str,
     raise ValueError(f"unknown noise model {model!r}; choose from {_NOISE_MODELS}")
 
 
-def _choose_horizon(prob: LqrProblem, Acl: np.ndarray, P: np.ndarray, q: float) -> int:
+def _choose_horizon(ev: Evaluation) -> int:
     """Smallest N whose truncation bias gamma^N * E[V(s_N)] is at most 1e-6
-    of J.
+    of J, at the gain of ``ev``.
 
     The bias of truncating the cost sum at N equals
     gamma^N (tr(P M_N) + q) with M_N from the moment recursion, so the
     bound is sharp rather than a crude stage-cost estimate.
     """
-    J = float(np.trace(P @ prob.Sigma_0)) + q
-    budget = 1e-6 * max(abs(J), 1e-12)
+    prob, Acl, P, q = ev.prob, ev.Acl, ev.P, ev.q
+    budget = 1e-6 * max(abs(ev.J), 1e-12)
     M = prob.Sigma_0.copy()
     g = 1.0
     for N in range(200_000):
@@ -278,14 +274,13 @@ def monte_carlo_J(prob: LqrProblem, gain: Gain, noise_model: str = "gaussian",
     step, so results are reproducible bit for bit. Per-rollout totals are
     reduced with compensated (exact) summation.
     """
-    ok, _ = is_gamma_stabilizing(prob, gain)
-    if not ok:
+    ev = Evaluation(prob, gain)
+    if not ev.margin > 0.0:
         raise NotStabilizing("monte_carlo_J requires a stabilizing gain")
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    Acl = closed_loop(prob, gain)
-    P, q = solve_value(prob, gain)
-    horizon = _choose_horizon(prob, Acl, P, q)
+    Acl = ev.Acl
+    horizon = _choose_horizon(ev)
     C = prob.Q + gain.K.T @ prob.R @ gain.K
     C = (C + C.T) / 2.0
     L0 = psd_sqrt(prob.Sigma_0)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_discrete_are
 
-from .lqr import (Gain, LqrProblem, is_gamma_stabilizing, optimal_gain,
-                  performance, solve_sigma)
-from .derivatives import exact_hessian, jacobian_vecP, lambda_term, policy_gradient
+from .errors import NoConvergence
+from .lqr import Gain, LqrProblem, optimal_gain
+from .derivatives import Evaluation
 from .oracles import (discounted_moment_series, fd_gradient, fd_hessian, fd_hvp,
                       lambda_via_Mi, monte_carlo_J, scalar_reference)
 from .benchmarks import initial_gain, make_pendulum, make_shear_building
@@ -36,7 +36,8 @@ def random_stabilizing_instance(seed: int, n: int = None, m: int = None):
     gradient is visible (||grad|| >= 1e-2) while keeping a comfortable
     stability margin (> 0.05), so finite-difference probes stay inside the
     stabilizing set. Each of up to 60 draws shrinks the perturbation by 0.8;
-    if none qualifies, the optimal gain itself is returned.
+    NoConvergence when none qualifies (seed 34 is the only such seed in
+    0-299: its gradients stay below 1e-2).
     """
     rng = np.random.default_rng(seed)
     if n is None:
@@ -61,13 +62,12 @@ def random_stabilizing_instance(seed: int, n: int = None, m: int = None):
     k_star, _ = optimal_gain(prob)
     scale = 0.1
     for _ in range(60):
-        K = k_star.K + scale * rng.standard_normal((m, n))
-        gain = Gain(K)
-        ok, margin = is_gamma_stabilizing(prob, gain)
-        if ok and margin > 0.05 and np.linalg.norm(policy_gradient(prob, gain)) >= 1e-2:
-            return prob, gain
+        ev = Evaluation(prob, Gain(k_star.K + scale * rng.standard_normal((m, n))))
+        if ev.margin > 0.05 and np.linalg.norm(ev.grad) >= 1e-2:
+            return prob, ev.gain
         scale *= 0.8
-    return prob, k_star
+    raise NoConvergence(f"seed {seed}: no perturbed gain has margin > 0.05 and "
+                        f"||grad|| >= 1e-2")
 
 
 def _rel(err: float, ref: float) -> float:
@@ -87,7 +87,7 @@ def check_scalar_grid() -> CheckResult:
     for theta in thetas:
         ref = scalar_reference(a, b, Q, R, gamma, s0_sq, s_sq, theta)
         gain = Gain([[theta]])
-        rep = exact_hessian(prob, gain)
+        rep = Evaluation(prob, gain)
         vals = (rep.grad[0], rep.H_gn[0, 0], rep.Lambda[0, 0], rep.H_exact[0, 0],
                 rep.jac_vecP[0, 0])
         refs = (ref.grad, ref.h_gn, ref.lam, ref.hess_exact, ref.dp_dtheta)
@@ -101,7 +101,7 @@ def check_fd_gradient() -> CheckResult:
     tol, worst = 1e-6, 0.0
     for seed in range(5):
         prob, gain = random_stabilizing_instance(seed)
-        g = policy_gradient(prob, gain)
+        g = Evaluation(prob, gain).grad
         fd = fd_gradient(prob, gain)
         worst = max(worst, _rel(np.linalg.norm(g - fd), np.linalg.norm(fd)))
     return CheckResult("gradient vs central differences", worst <= tol,
@@ -112,7 +112,7 @@ def check_fd_hessian() -> CheckResult:
     tol, worst = 1e-4, 0.0
     for seed in range(3):
         prob, gain = random_stabilizing_instance(seed)
-        H = exact_hessian(prob, gain).H_exact
+        H = Evaluation(prob, gain).H_exact
         fd = fd_hessian(prob, gain)
         worst = max(worst, _rel(np.linalg.norm(H - fd, "fro"),
                                 np.linalg.norm(fd, "fro")))
@@ -131,7 +131,7 @@ def check_hvp() -> CheckResult:
     cases.append((7, building, initial_gain(building)))
     worst, worst_fd = 0.0, 0.0
     for seed, prob, gain in cases:
-        ev = exact_hessian(prob, gain)
+        ev = Evaluation(prob, gain)
         v = np.random.default_rng(seed).standard_normal(prob.m * prob.n)
         hv, small, want = ev.hvp(v), ev.hvp(1e-12 * v) / 1e-12, ev.H_exact @ v
         err = max(np.linalg.norm(hv - want), np.linalg.norm(small - want))
@@ -148,8 +148,7 @@ def check_lambda_paths() -> CheckResult:
     tol, worst = 1e-10, 0.0
     for seed in range(5):
         prob, gain = random_stabilizing_instance(seed)
-        jac = jacobian_vecP(prob, gain)
-        direct = lambda_term(prob, gain, jac)
+        direct = Evaluation(prob, gain).Lambda
         columnwise = lambda_via_Mi(prob, gain)
         worst = max(worst, _rel(np.linalg.norm(direct - columnwise, "fro"),
                                 np.linalg.norm(direct, "fro")))
@@ -161,7 +160,7 @@ def check_moment_series() -> CheckResult:
     tol, worst = 1e-8, 0.0
     for seed in range(5):
         prob, gain = random_stabilizing_instance(seed)
-        solved = solve_sigma(prob, gain)
+        solved = Evaluation(prob, gain).Sigma
         series = discounted_moment_series(prob, gain)
         worst = max(worst, _rel(np.linalg.norm(solved - series, "fro"),
                                 np.linalg.norm(series, "fro")))
@@ -174,7 +173,7 @@ def check_optimum_identities() -> CheckResult:
     for seed in range(2):
         prob, _ = random_stabilizing_instance(seed)
         k_star, _ = optimal_gain(prob, tol=1e-12)
-        rep = exact_hessian(prob, k_star)
+        rep = Evaluation(prob, k_star)
         worst_grad = max(worst_grad, float(np.linalg.norm(rep.grad)))
         worst_lam = max(worst_lam, _rel(np.linalg.norm(rep.Lambda, "fro"),
                                         np.linalg.norm(rep.H_gn, "fro")))
@@ -204,7 +203,7 @@ def check_monte_carlo() -> CheckResult:
     prob = make_pendulum()
     gain = initial_gain(prob)
     est = monte_carlo_J(prob, gain, samples=2000, seed=0)
-    exact = performance(prob, gain)
+    exact = Evaluation(prob, gain).J
     err = abs(est.mean - exact)
     ok = err <= 3.0 * est.std_error
     return CheckResult("Monte Carlo vs closed-form cost", ok,

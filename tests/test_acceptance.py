@@ -187,7 +187,7 @@ def test_criterion_08_landscape_behavior(pendulum_bundle):
     t = k_star.theta
     grid = landscape(prob, (t[0] - 30.0, t[0] + 50.0, 17),
                      (t[1] - 45.0, t[1] + 35.0, 17))
-    i, j = grid.min_cell()
+    i, j = np.unravel_index(np.nanargmin(grid.J), grid.J.shape)
     center = np.array([grid.theta1[i], grid.theta2[j]])
     cell = np.array([grid.theta1[1] - grid.theta1[0],
                      grid.theta2[1] - grid.theta2[0]])

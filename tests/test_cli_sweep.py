@@ -4,8 +4,10 @@ ragged array, or deleted, and solve, optimize, landscape and experiment run
 on each result through cli.main. Every run must end with exit status 0 or 1;
 a traceback is a failure.
 
-``max_iter = 2**63`` is left out: a run that stalls would then take that
-many iterations, which is the line search's defect, not the parser's.
+``max_iter = 2**63`` is left out: the pendulum base runs first order, whose
+linear rate can need very many iterations to reach ``grad_tol`` 1e-8, and a
+run may take as many as it is allowed; that is the method's rate, not the
+parser's.
 """
 
 import contextlib

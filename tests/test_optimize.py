@@ -112,15 +112,9 @@ class TestNewtonCG:
         seed = initial_gain(prob, r_inflation=2.0)
         ev = Evaluation(prob, seed)
         assert np.linalg.eigvalsh(ev.H_exact)[0] == pytest.approx(-3.98e-2, abs=1e-4)
-        cfg = OptimizerConfig(method="newton", seed_gain=seed, grad_tol=1e-8, max_iter=40)
+        cfg = OptimizerConfig(method="newton", seed_gain=seed, grad_tol=1e-12, max_iter=40)
         rec = run(prob, cfg)
         assert rec.converged and rec.flag is None and rec.iterations <= 20
-        # Armijo compares costs near J = 1.2e4, so below ||grad|| ~ 1e-8 it
-        # decides on round-off; full steps from there show the rate
-        cfg = OptimizerConfig(method="newton", step_mode="fixed", alpha=1.0,
-                              seed_gain=rec.final_gain, grad_tol=1e-10, max_iter=2)
-        rec = run(prob, cfg, k_star=rec.k_star)
-        assert rec.converged and rec.flag is None
         assert rec.steps[-1].gain_error <= 1e-9 * np.linalg.norm(rec.k_star.K)
 
     @pytest.mark.parametrize("plant, r_inflation", [
@@ -345,6 +339,70 @@ class TestRun:
         rec = run(scalar_prob, cfg)
         assert rec.converged
         np.testing.assert_allclose(rec.final_gain.K, rec.k_star.K, atol=1e-7)
+
+
+class TestCostDifference:
+    """Armijo's test near the optimum, where Newton's predicted decrease is
+    below round-off in J and the exact cost difference decides."""
+
+    @pytest.mark.parametrize("plant", ["building10-6", "multi-actuator12"])
+    def test_newton_reaches_the_gradient_floor(self, plant):
+        # the rounded costs alone stall both runs near ||grad|| 1e-8
+        prob = (make_shear_building(floors=10, seed=6) if plant == "building10-6"
+                else multi_actuator_building(12))
+        cfg = OptimizerConfig(method="newton", seed_gain=initial_gain(prob, r_inflation=2.0),
+                              grad_tol=1e-12, max_iter=60)
+        rec = run(prob, cfg)
+        assert rec.converged and rec.flag is None and rec.iterations <= 20
+
+    def test_pendulum_from_a_far_gain_converges(self):
+        # the rounded costs alone made all 10**4 iterations from here, with up
+        # to 26 backtracks each, and stayed at ||grad|| 1.9e-4
+        prob = make_pendulum()
+        cfg = OptimizerConfig(method="newton", seed_gain=Gain([[20.0, 8.0]]),
+                              grad_tol=1e-6, max_iter=10**4)
+        rec = run(prob, cfg)
+        assert rec.converged and rec.flag is None and rec.iterations <= 20
+
+    @pytest.mark.parametrize("floors", [3, 12])  # both Stein branches
+    def test_the_exact_difference_is_the_cost_difference(self, floors):
+        prob = make_shear_building(floors=floors, seed=0)
+        ev = Evaluation(prob, initial_gain(prob, r_inflation=2.0))
+        D = -0.5 * ev.hewer_step
+        trial = Evaluation(prob, Gain(ev.gain.K + D))
+        dJ = optimize._cost_difference(ev, trial, D)
+        # a difference far above round-off, matched to 1e-14 of J
+        assert dJ < -1e-4 * abs(ev.J)
+        assert abs(dJ - (trial.J - ev.J)) <= 1e-14 * abs(ev.J)
+
+    def test_the_exact_difference_decides_a_refusal_by_round_off(self, monkeypatch):
+        prob = make_shear_building(floors=3, seed=0)
+        ev = Evaluation(prob, initial_gain(prob, r_inflation=2.0))
+        D = -0.5 * ev.hewer_step
+        band = lqr._RESID_TOL * abs(ev.J)
+
+        def trial_above(excess):
+            # a trial whose computed cost lies `excess` above ev.J + dJ, as
+            # round-off can put it
+            trial = Evaluation(prob, Gain(ev.gain.K + D))
+            dJ = optimize._cost_difference(ev, trial, D)
+            trial.J = ev.J + dJ + excess
+            return trial, dJ
+
+        solves = count_calls(monkeypatch, lqr.SteinOperator, "solve")
+        # outside the band the computed costs decide, with no solve
+        trial, dJ = trial_above(2.0 * band)
+        n = len(solves)
+        assert not optimize._decreases(ev, trial, D, dJ)
+        assert len(solves) == n
+        # inside it the exact difference decides, with one solve, and an
+        # accepted trial records ev.J + dJ, so the recorded cost cannot rise
+        trial, dJ = trial_above(0.5 * band)
+        n = len(solves)
+        assert optimize._decreases(ev, trial, D, dJ)
+        assert len(solves) == n + 1 and trial.J == ev.J + dJ
+        trial, dJ = trial_above(0.5 * band)
+        assert not optimize._decreases(ev, trial, D, dJ - 1e-3 * band)
 
 
 class TestComputeOnce:

@@ -12,7 +12,7 @@ from lqrnewton import validate
 from lqrnewton import (Gain, LqrProblem, jacobian_vecP, lambda_term, lqr,
                        make_pendulum, initial_gain, optimal_gain, performance,
                        policy_gradient, solve_sigma)
-from lqrnewton.errors import NotStabilizing, PerturbationLeftStabilizingSet
+from lqrnewton.errors import NoConvergence, NotStabilizing, PerturbationLeftStabilizingSet
 from lqrnewton.oracles import (discounted_moment_series, fd_gradient,
                                fd_hessian, fd_hvp, lambda_via_Mi, monte_carlo_J,
                                scalar_reference)
@@ -209,12 +209,21 @@ class TestRiccatiCheck:
 
 @pytest.mark.parametrize("seed, draws", [(0, 1), (50, 2)])
 def test_random_instance_redraws_a_gain_that_misses_its_bounds(monkeypatch, seed, draws):
-    calls = count_calls(monkeypatch, validate, "is_gamma_stabilizing")
+    # one Evaluation per drawn gain
+    calls = count_calls(monkeypatch, validate, "Evaluation")
     prob, gain = validate.random_stabilizing_instance(seed)
     assert len(calls) == draws
     ok, margin = lqr.is_gamma_stabilizing(prob, gain)
     assert ok and margin > 0.05
     assert np.linalg.norm(policy_gradient(prob, gain)) >= 1e-2
+
+
+def test_random_instance_refuses_when_no_draw_qualifies():
+    # seed 34's perturbed gains keep a margin near 0.64, but their gradients
+    # stay below 1e-2 (7.1e-3 at the first draw), and each draw shrinks the
+    # perturbation further
+    with pytest.raises(NoConvergence, match="seed 34"):
+        validate.random_stabilizing_instance(34)
 
 
 def test_import_does_not_load_scipy_special():

@@ -1,4 +1,5 @@
-"""The package's export list, and no module-level helper left unused."""
+"""The package's export list, no module-level helper left unused, and the
+modules that call the per-gain wrappers."""
 
 import ast
 import pathlib
@@ -38,3 +39,26 @@ def test_every_module_level_definition_is_exported_or_used():
     unused = [name for name in defined
               if name.split(".")[1] not in set(lqrnewton.__all__) | used]
     assert unused == []
+
+
+# one-line reads of an Evaluation: the library's other modules read the
+# Evaluation itself
+PER_GAIN_WRAPPERS = {"is_gamma_stabilizing", "performance", "solve_value", "solve_sigma",
+                     "policy_gradient", "gn_hessian", "jacobian_vecP", "lambda_term",
+                     "exact_hessian"}
+
+
+def test_only_lqr_and_derivatives_use_the_per_gain_wrappers():
+    users = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            else:
+                continue
+            if name in PER_GAIN_WRAPPERS:
+                users.add(path.name)
+    assert users - {"__init__.py", "lqr.py", "derivatives.py"} == set()

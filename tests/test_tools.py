@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -39,6 +40,22 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
     path.write_text(SOURCE, encoding="utf-8")
     # import, def, and the three lines of the return expression
     assert parity.code_lines(path) == 5
+
+
+def test_validate_digest_reads_the_printed_lines_and_the_status():
+    class Cli:
+        lines, status = ["PASS: a -- err 1e-16", "FAIL: b -- err 1"], 1
+
+        def main(self, argv):
+            assert argv == ["validate"]
+            print(*self.lines, sep="\n")
+            return self.status
+
+    cli = Cli()
+    want = hashlib.sha256(b"PASS: a -- err 1e-16\nFAIL: b -- err 1\n1").hexdigest()
+    assert parity.validate_digest(cli) == want
+    cli.lines[0] = "PASS: a -- err 2e-16"
+    assert parity.validate_digest(cli) != want
 
 
 def test_work_counts_of_a_fixed_step_newton_run():

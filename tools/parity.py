@@ -6,7 +6,7 @@ Usage, from the root of a source checkout:
     python3 tools/parity.py OTHER_ROOT # another checkout, e.g. a parent commit
 
 Prints the code lines of each module of ``src/lqrnewton`` (lines that hold
-code: no docstrings, comments or blank lines), then four SHA-256 digests
+code: no docstrings, comments or blank lines), then five SHA-256 digests
 of what the library computes:
 
 - ``criterion10``: the files of the criterion-10 pendulum experiment
@@ -20,7 +20,10 @@ of what the library computes:
   pendulum and on the 32 buildings of 3, 5, 10 and 24 floors, seeds 0-7,
   printed with the largest relative gap of those ``K*`` to scipy's DARE
   gain, so that a change which moves only ``K*``'s last bits can be told
-  from one that moves optimizer paths, and its accuracy read beside it.
+  from one that moves optimizer paths, and its accuracy read beside it;
+- ``validate``: what ``lqrnewton validate`` prints, one line per oracle
+  check with its observed error, and its exit status, so that a change to
+  the oracles or to the checks is seen as the outputs above are.
 
 Last come the work counts per task of two seed-1 pools, every case of
 ``building48_newton`` and the first 64 ``pendulum_experiment`` tasks:
@@ -39,6 +42,7 @@ reproduce its own bits.
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import io
 import os
@@ -135,6 +139,15 @@ def riccati_digest(workloads, lqrnewton) -> tuple[str, float]:
     return h.hexdigest(), gap
 
 
+def validate_digest(cli) -> str:
+    """Digest of the lines ``lqrnewton validate`` prints and its exit
+    status, from ``cli.main``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(["validate"])
+    return hashlib.sha256(f"{out.getvalue()}{status}".encode()).hexdigest()
+
+
 def work_counts(lqr, derivatives, task) -> dict[str, int]:
     """The work ``task()`` does, counted by the names of ``WORK``."""
     counts = dict.fromkeys(WORK, 0)
@@ -188,7 +201,7 @@ def main(argv) -> int:
     import workloads
     from conftest import CRITERION_10_DOC
     import lqrnewton
-    from lqrnewton import derivatives, experiment, lqr
+    from lqrnewton import cli, derivatives, experiment, lqr
 
     print("code lines of src/lqrnewton (no docstrings, comments or blanks)")
     total = 0
@@ -202,6 +215,7 @@ def main(argv) -> int:
     print(f"sha256 buildings   {buildings_digest(np, workloads)}")
     digest, gap = riccati_digest(workloads, lqrnewton)
     print(f"sha256 riccati     {digest}  (largest K* gap to scipy's DARE {gap:.2g})")
+    print(f"sha256 validate    {validate_digest(cli)}")
     print(f"{'work per task, seed 1':<22}{''.join(f'{k:>10}' for k in WORK)}")
     for name, tasks in COUNTED_WORKLOADS:
         counts = workload_counts(np, workloads, lqr, derivatives, name, tasks)
