@@ -284,7 +284,8 @@ class Evaluation:
         WW += W
         dPV = stein.solve(WW)
         Y = stein.solve(_sym(prob.B @ (AS @ Vt).T), transpose=True)
-        Ht = self.Sigma @ Vt @ self.E - prob.gamma * (AS.T @ dPV @ prob.B + 2.0 * Y @ S.T)
+        # AS' (dP[V] B): two n^2 m products, where (AS' dP[V]) B is an n^3 one
+        Ht = self.Sigma @ Vt @ self.E - prob.gamma * (AS.T @ (dPV @ prob.B) + 2.0 * Y @ S.T)
         return 2.0 * Ht.ravel()
 
     @cached

@@ -34,11 +34,12 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 # LAPACK's routines are called directly: at n = 2 numpy.linalg's wrappers
-# cost several times the routine they call, and dtrtri (optimize's
-# preconditioner) inverts a triangular factor without an LU (see README,
-# Numerical notes)
+# cost several times the routine they call, and dpotrf and dtrtri
+# (optimize's preconditioner) factor Sigma and invert its triangular factor
+# without an LU (see README, Numerical notes)
 from scipy.linalg.lapack import (dgeev as _geev, dgesv as _gesv, dgetrf as _getrf,
-                                 dgetrs as _getrs, dtrtri as _trtri)
+                                 dgetri as _getri, dgetrs as _getrs, dpotrf as _potrf,
+                                 dtrtri as _trtri)
 
 from .errors import NoConvergence, NotStabilizing
 from .linalg import unvec, vec
@@ -321,14 +322,19 @@ class SteinOperator:
         into one copy of M, which is left as it was."""
         X = M.astype(float)
         for F in self._powers:
-            if transpose:
-                F = F.T
             # FX lives until the next level's replaces it: with both
             # temporaries freed at once, glibc hands a large stack's pages
             # back and each level faults them in again (a (48, 48, 48)
             # stack: 3600 page faults and 12 ms a solve, against 400 and 6)
-            FX = F @ X
-            X += FX @ F.T
+            if transpose:
+                FX = F.T @ X
+                X += FX @ F
+            else:
+                # F X F' as (X' F')' F', both products reading F transposed:
+                # 12.3 against 13.4 us a level for F X then (F X) F', over
+                # the 9 levels of a solve at n = 48 (2-core x86 VM)
+                FX = X.swapaxes(-1, -2) @ F.T
+                X += FX.swapaxes(-1, -2) @ F.T
         return _sym(X)
 
 
@@ -493,13 +499,9 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
         H_{k+1} = H_k + A_k' H_k W^-1 A_k
 
     so that H_k converges quadratically to P*, with no stabilizing starting
-    gain. Each step inverts W once and forms W^-1 A_k and W^-1 G_k by two
-    products. The inverse is numpy's, which factors W by the gesv that
-    ``np.linalg.solve`` runs, so a step is found singular as a solve finds
-    it. scipy's getrf/getri is faster but rounds the pivots differently:
-    whether it finds the singular step of a plant with an entry of 2^63
-    turns on how the step's products are grouped, where numpy's inverse
-    finds it under every grouping tried. The iteration stops once
+    gain. Each step inverts W once, by LAPACK's getrf and getri, and forms
+    W^-1 A_k and W^-1 G_k by two products; a step whose LU meets an exact
+    zero pivot is singular. The iteration stops once
     ||H_{k+1} - H_k||_F <= tol (1 + ||H_{k+1}||_F).
     The gain formed from that H is checked and its value P solved; one
     Hewer step, K* = (R + g B'PB)^-1 g B'PA, then brings K* to policy
@@ -528,12 +530,12 @@ def optimal_gain(prob: LqrProblem, tol: float = 1e-10,
     # an unstabilizable plant overflows; that is caught below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            # numpy's inverse, not scipy's getri: see the docstring
-            try:
-                W_inv = np.linalg.inv(eye + G @ H)
-            except np.linalg.LinAlgError:
+            lu, piv, info = _getrf(eye + G @ H, overwrite_a=True)
+            if info == 0:
+                W_inv, info = _getri(lu, piv, overwrite_lu=True)
+            if info != 0:
                 raise NoConvergence("Riccati doubling met a singular system I + G H; "
-                                    "the plant's scale defeats it") from None
+                                    "the plant's scale defeats it")
             WA = W_inv @ A
             G = G + A @ (W_inv @ G @ A.T)
             H_next = H + A.T @ H @ WA

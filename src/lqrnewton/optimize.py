@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DirectionError, NoConvergence, SeedNotStabilizing
-from .lqr import _RESID_TOL, Gain, LqrProblem, _trtri, optimal_gain
+from .lqr import _RESID_TOL, Gain, LqrProblem, _potrf, _solve, _trtri, optimal_gain
 from .derivatives import Evaluation
 from .linalg import unvec, vec
 
@@ -144,14 +144,15 @@ def _newton_cg(ev: Evaluation) -> np.ndarray:
     by preconditioned CG on ``ev.hvp``.
 
     The preconditioner M^-1 is the inverse Gauss-Newton map
-    r -> vec(E^-1 R Sigma^-1) / 2, with Sigma's Cholesky factor L computed
-    once and inverted by LAPACK's triangular trtri (Sigma^-1 = L^-T L^-1),
-    or r -> vec(E^-1 R) / 2 where Sigma has none or trtri finds L
-    singular. CG stops when the residual falls to eta * ||grad|| (inexact
-    Newton), after m*n iterations, or at the first direction p with
-    p'Hp <= 0: at the first iteration it then returns Hewer's step
-    -vec(E^-1 S), later the iterate it has reached, which is a descent
-    direction since every curvature before was positive.
+    r -> vec(E^-1 R Sigma^-1) / 2, with E^-1 solved by gesv and Sigma's
+    Cholesky factor L computed once by LAPACK's potrf and inverted by its
+    triangular trtri (Sigma^-1 = L^-T L^-1), or r -> vec(E^-1 R) / 2 where
+    potrf finds Sigma not positive definite or trtri finds L singular.
+    CG stops when the residual falls to eta * ||grad|| (inexact Newton),
+    after m*n iterations, or at the first direction p with p'Hp <= 0: at
+    the first iteration it then returns Hewer's step -vec(E^-1 S), later
+    the iterate it has reached, which is a descent direction since every
+    curvature before was positive.
 
     The forcing term is eta = max(min(0.1, sqrt(grad' M^-1 grad / J)),
     _CG_RTOL). The Gauss-Newton decrement grad' M^-1 grad is CG's first
@@ -161,11 +162,10 @@ def _newton_cg(ev: Evaluation) -> np.ndarray:
     Eisenstat & Steihaug, 1982).
     """
     g, m, n = ev.grad, ev.prob.m, ev.prob.n
-    E_inv = np.linalg.inv(ev.E) / 2.0
-    try:
-        L_inv, info = _trtri(np.linalg.cholesky(ev.Sigma), lower=1)
-    except np.linalg.LinAlgError:
-        info = 1
+    E_inv = _solve(ev.E, np.eye(m)) / 2.0
+    L, info = _potrf(ev.Sigma, lower=1)
+    if info == 0:
+        L_inv, info = _trtri(L, lower=1)
     Sigma_inv = L_inv.T @ L_inv if info == 0 else np.eye(n)
 
     def precondition(r):

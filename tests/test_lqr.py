@@ -367,14 +367,15 @@ def _near_boundary(n, margin, gamma=0.9):
 
 def _doubling_reference(G, M, gamma):
     # the allocating loop of the fixed-depth rule, kept as the reference the
-    # plain _doubling must equal bit for bit: add levels until
-    # ||F^(2^j)||_F^2 <= 2^-52 in every slice
+    # plain _doubling must equal bit for bit: add levels, each F X F' formed
+    # as (X' F')' F', until ||F^(2^j)||_F^2 <= 2^-52 in every slice
     X = M
     F = np.sqrt(gamma) * G
     for _ in range(100):
         if (np.sum(F * F, axis=(-2, -1)) <= 2.0 ** -52).all():
             return (X + X.swapaxes(-1, -2)) / 2.0
-        X = X + F @ X @ F.swapaxes(-1, -2)
+        Ft = F.swapaxes(-1, -2)
+        X = X + (X.swapaxes(-1, -2) @ Ft).swapaxes(-1, -2) @ Ft
         F = F @ F
     raise NoConvergence("reference doubling did not converge")
 

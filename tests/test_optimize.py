@@ -185,6 +185,21 @@ class TestNewtonCG:
         d = search_direction("newton", ev)
         assert np.all(np.isfinite(d)) and float(d @ ev.grad) < 0.0
 
+    def test_the_newton_path_calls_no_numpy_linalg_wrapper(self, monkeypatch):
+        # n = 12: optimal_gain (no k_star is given), the doubling operators,
+        # the Hessian-vector products and the preconditioner call LAPACK
+        # directly, not numpy.linalg's wrappers
+        prob = make_shear_building(floors=6, seed=0)
+        seed = initial_gain(prob)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called on the Newton path")
+
+        for name in ("inv", "cholesky", "solve", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rec = run(prob, OptimizerConfig(method="newton", max_iter=2, seed_gain=seed))
+        assert rec.iterations == 2 and rec.flag is None
+
 
 class TestBacktracking:
     def test_easy_descent_takes_full_step(self, scalar_prob, scalar_gain):

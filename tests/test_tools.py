@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lqrnewton import (Gain, OptimizerConfig, derivatives, lqr, make_shear_building,
@@ -124,3 +125,47 @@ def test_pairs_verdict_against_the_bounds_of_benchmark_json():
     # a gap past the bound is worse however wide the spread
     runs = [(par, _last_line(2.0, 0.1, 100.0)) for par, _ in runs]
     assert pairs.summarize(runs)["solve_s.min"]["verdict"] == "worse"
+
+
+def _run(method, J, g, bt, K):
+    return {"method": method, "J": J, "g": g, "e": [0.5 * x for x in g], "bt": bt,
+            "K": np.array([K]), "k_star": 2.0, "end": (True, None)}
+
+
+def _numbers(J2, g2, first_order_bt, newton_bt=(0, 0, 0)):
+    """Collected numbers of one checkout: one plant, two Newton runs and a
+    first-order one, and validate's output."""
+    return {
+        "riccati": {"pendulum": {"K*": np.array([[1.0, 2.0]]), "P": np.eye(2), "dare": 1e-14}},
+        "runs": {
+            ("pendulum64", "newton", "task 0"): _run(
+                "newton", [10.0, 5.0, 4.0], [1.0, 1e-3, 1e-15], list(newton_bt), [1.0, 2.0]),
+            ("pendulum64", "newton", "task 1"): _run(
+                "newton", [10.0, 5.0, J2], [2.0, 1e-4, g2], [0, 0, 0], [1.0, 2.0]),
+            ("pendulum64", "first_order", "task 0"): _run(
+                "first_order", [10.0, 9.0, 8.0], [1.0, 0.9, 0.8], first_order_bt, [3.0, 4.0])},
+        "validate": "PASS: a check -- max rel err 1.000e-15 (tol 1e-12)\n0"}
+
+
+def test_parity_compares_gaps_on_fixed_numbers():
+    parent = _numbers(4.0, 1e-15, [1, 0, 0])
+    # task 1's J moves by 3e-14 relative; its final ||g||, at round-off,
+    # moves by a factor of 3.3, which is 4.6e-15 of its first ||g||; the
+    # first-order run keeps its backtrack total but moves one row's count
+    change = _numbers(4.0 * (1.0 + 3e-14), 3.3e-15, [0, 1, 0])
+    rows = {(r.runs, r.output): r for r in parity.compare(parent, change)}
+    J = rows["newton, 2 runs", "J"]
+    assert J.gap == pytest.approx(3e-14, rel=1e-3) and J.case == "task 1"
+    assert J.tol == 1e-13 and not J.over
+    g = rows["newton, 2 runs", "||g|| / ||g_0||"]
+    assert g.gap == pytest.approx(2.3e-15 / 2.0) and g.case == "task 1" and not g.over
+    assert rows["newton, 2 runs", "final K"][3:5] == (0.0, "-")
+    bt = rows["first_order, 1 runs (not gated)", "backtracks"]
+    assert (bt.gap, bt.case, bt.tol, bt.over) == (1, "task 0 (total 1 -> 1)", None, False)
+    assert rows["1 plants", "K* to DARE, change"][3:5] == (1e-14, "pendulum")
+    assert not any(r.over for r in rows.values())
+    # a gated run whose backtracks or J move past the tolerance is over it
+    change = _numbers(4.0 * (1.0 + 3e-13), 3.3e-15, [1, 0, 0], newton_bt=(1, 0, 0))
+    over = [(r.runs, r.output, r.case) for r in parity.compare(parent, change) if r.over]
+    assert over == [("newton, 2 runs", "J", "task 1"),
+                    ("newton, 2 runs", "backtracks", "task 0 (total 0 -> 1)")]
